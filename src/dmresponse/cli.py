@@ -168,6 +168,15 @@ def _pairwise_deviations(values: dict[str, float]) -> dict:
     return out
 
 
+def _to_orthogonal(s, *mats):
+    """Congruence-transform operators into the Loewdin-orthonormal basis of
+    the overlap s; returns them unchanged when there is no overlap."""
+    if s is None:
+        return mats
+    z = linalg.inverse_sqrt_factor(s)
+    return tuple(linalg.congruence_transform(m, z, "to_orthogonal") for m in mats)
+
+
 def _check_finite(obj, path="report"):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -204,7 +213,7 @@ def _run_ground_state(cfg: RunConfig) -> dict:
         results["mu0"] = state.mu0
         results["scf_iterations"] = len(state.residuals)
         results["scf_final_residual"] = state.residuals[-1]
-        results["trace_d0"] = float(np.trace(state.d0))
+        results["trace_d0"] = float(np.trace(state.d0_perp))
         results["a0"] = _trace_product(a, state.d0)
         if state.sp2_trace is not None:
             results["expansion"] = _trace_summary(state.sp2_trace)
@@ -212,15 +221,18 @@ def _run_ground_state(cfg: RunConfig) -> dict:
 
     if cfg.beta_t is not None:
         _reject(cfg, tau="--beta-t cannot be combined with --tau", precision="--beta-t requires --precision f64")
-        d, mu0 = thermal.fermi_matrix_and_mu(h0, cfg.beta_t, float(n_occ))
+        h_work, a_work = _to_orthogonal(s, h0, a)
+        d, mu0 = thermal.fermi_matrix_and_mu(h_work, cfg.beta_t, float(n_occ))
         results["route"] = "thermal"
         results["mu0"] = mu0
         results["trace_d0"] = float(np.trace(d))
-        results["a0"] = _trace_product(a, d)
+        results["a0"] = _trace_product(a_work, d)
         return results
 
     if cfg.tau is not None:
         _reject(cfg, precision="--tau requires --precision f64")
+        if s is not None:
+            raise UsageError("--tau cannot be combined with an overlap matrix")
         hs = h0 if isinstance(h0, SparseMatrix) else sparse.sparsify(h0, cfg.tau)
         if hs.tau != cfg.tau:
             hs = sparse.sparsify(hs.to_dense(), cfg.tau)
@@ -234,6 +246,8 @@ def _run_ground_state(cfg: RunConfig) -> dict:
         return results
 
     if cfg.precision in ("f32", "split16"):
+        if s is not None:
+            raise UsageError("low-precision pipelines assume an orthonormal basis")
         pipeline = (
             mixedprec.mixed_response_pipeline
             if cfg.precision == "split16"
@@ -247,10 +261,11 @@ def _run_ground_state(cfg: RunConfig) -> dict:
         results["expansion"] = _trace_summary(res.trace)
         return results
 
-    d0, trace = sp2.sp2_ground_state(h0, n_occ)
-    results["route"] = "dense"
+    h_work, a_work = _to_orthogonal(s, h0, a)
+    d0, trace = sp2.sp2_ground_state(h_work, n_occ)
+    results["route"] = "dense" if s is None else "dense_orthogonalized"
     results["trace_d0"] = float(np.trace(d0))
-    results["a0"] = _trace_product(a, d0)
+    results["a0"] = _trace_product(a_work, d0)
     results["expansion"] = _trace_summary(trace)
     results["idempotency_fro"] = float(np.linalg.norm(d0 @ d0 - d0))
     return results
@@ -323,13 +338,7 @@ def _run_respond(cfg: RunConfig) -> dict:
             raise UsageError("--beta-t requires --precision f64")
         if cfg.mode == "suscept-bwd":
             raise UsageError("the finite-temperature route has no backward expansion")
-        if s is not None:
-            z = linalg.inverse_sqrt_factor(s)
-            h_work = linalg.congruence_transform(h0, z, "to_orthogonal")
-            a_work = linalg.congruence_transform(a, z, "to_orthogonal")
-            h1_work = linalg.congruence_transform(h1, z, "to_orthogonal")
-        else:
-            h_work, a_work, h1_work = h0, a, h1
+        h_work, a_work, h1_work = _to_orthogonal(s, h0, a, h1)
         d, mu0 = thermal.fermi_matrix_and_mu(h_work, cfg.beta_t, float(n_occ))
         values = {}
         mu1 = None
@@ -409,16 +418,8 @@ def _run_respond(cfg: RunConfig) -> dict:
             results["expansion"] = _trace_summary(trace)
         return results
 
-    if s is not None:
-        z = linalg.inverse_sqrt_factor(s)
-        h_work = linalg.congruence_transform(h0, z, "to_orthogonal")
-        a_work = linalg.congruence_transform(a, z, "to_orthogonal")
-        h1_work = linalg.congruence_transform(h1, z, "to_orthogonal")
-        out = _respond_dense(h_work, a_work, h1_work, n_occ, cfg.mode)
-        out["route"] = "dense_orthogonalized"
-    else:
-        out = _respond_dense(h0, a, h1, n_occ, cfg.mode)
-        out["route"] = "dense"
+    out = _respond_dense(*_to_orthogonal(s, h0, a, h1), n_occ, cfg.mode)
+    out["route"] = "dense" if s is None else "dense_orthogonalized"
     results.update(out)
     return results
 
@@ -431,7 +432,7 @@ def _run_audit(cfg: RunConfig) -> dict:
         h0 = h0.to_dense()
     n = h0.shape[0]
     n_occ = _resolve_n_occ(cfg, n)
-    cfg_t = ThermalConfig(beta_t=cfg.beta_t, n_occ=float(n_occ)) if cfg.beta_t else None
+    cfg_t = ThermalConfig(beta_t=cfg.beta_t, n_occ=float(n_occ)) if cfg.beta_t is not None else None
     report = oracles.duality_audit(h0, a, h1, n_occ, thermal=cfg_t, fd_step=cfg.fd_step)
     return {"dim": n, "n_occ": n_occ, **report.as_dict()}
 
@@ -484,6 +485,8 @@ def _run_benchmark(cfg: RunConfig) -> dict:
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one configured pipeline; returns (exit_code, report)."""
+    if cfg.beta_t is not None and not cfg.beta_t > 0.0:
+        raise UsageError(f"--beta-t must be positive, got {cfg.beta_t}")
     started = time.perf_counter()
     report = {
         "schema": REPORT_SCHEMA,

@@ -23,7 +23,7 @@ from .linalg import (
 )
 from .response import dm_perturbation_forward
 from .sp2 import Sp2Trace, sp2_ground_state
-from .thermal import _solve_mu, fermi_function, trace_neutral_derivative
+from .thermal import _fermi_eigenbasis, trace_neutral_derivative
 
 
 class ZeroKernel:
@@ -98,6 +98,8 @@ class ScfConfig:
             raise ValueError("c_mix must lie in (0, 1]")
         if self.eps_scf <= 0.0:
             raise ValueError("eps_scf must be positive")
+        if self.beta_t is not None and self.beta_t <= 0.0:
+            raise ValueError("inverse temperature beta_t must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,10 +129,7 @@ def _solve_perp(h_perp, n_occ, beta_t):
     if beta_t is None:
         d_perp, trace = sp2_ground_state(h_perp, n_occ)
         return d_perp, trace, None
-    eig = sym_eigendecompose(h_perp)
-    mu0 = _solve_mu(eig.values, beta_t, float(n_occ))
-    occ = fermi_function(eig.values, beta_t, mu0)
-    d_perp = symmetrize((eig.vectors * occ) @ eig.vectors.T)
+    d_perp, eig, mu0 = _fermi_eigenbasis(h_perp, beta_t, float(n_occ))
     return d_perp, None, (eig, mu0)
 
 

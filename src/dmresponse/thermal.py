@@ -95,6 +95,17 @@ def fermi_matrix_and_mu(h: np.ndarray, beta_t: float, n_occ: float):
 
     Returns (d, mu0); d is symmetric with eigenvalues in (0, 1).
     """
+    d, _, mu0 = _fermi_eigenbasis(h, beta_t, n_occ)
+    return d, mu0
+
+
+def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float):
+    """Eigendecompose h, bisect mu0 so that Tr[D] = n_occ, and build the
+    Fermi-smeared D in that eigenbasis.
+
+    Returns (d, eig, mu0); the eigenbasis and mu0 are what every response
+    about this D is differentiated from.
+    """
     if beta_t <= 0:
         raise ValueError("inverse temperature beta_t must be positive")
     n = h.shape[0]
@@ -104,7 +115,7 @@ def fermi_matrix_and_mu(h: np.ndarray, beta_t: float, n_occ: float):
     mu0 = _solve_mu(eig.values, beta_t, n_occ)
     occ = fermi_function(eig.values, beta_t, mu0)
     d = (eig.vectors * occ) @ eig.vectors.T
-    return symmetrize(d), mu0
+    return symmetrize(d), eig, mu0
 
 
 def loewner_matrix(
@@ -199,7 +210,7 @@ def canonical_susceptibility(h: np.ndarray, a: np.ndarray, beta_t: float, n_occ:
 
     Returns (chi, mu1).
     """
-    eig, mu0 = _eig_and_mu(h, beta_t, n_occ)
+    _, eig, mu0 = _fermi_eigenbasis(h, beta_t, n_occ)
     return trace_neutral_derivative(eig, a, beta_t, mu0)
 
 
@@ -209,16 +220,5 @@ def canonical_dm_response(h: np.ndarray, h1: np.ndarray, beta_t: float, n_occ: f
 
     Returns (d1, mu1).
     """
-    eig, mu0 = _eig_and_mu(h, beta_t, n_occ)
+    _, eig, mu0 = _fermi_eigenbasis(h, beta_t, n_occ)
     return trace_neutral_derivative(eig, h1, beta_t, mu0)
-
-
-def _eig_and_mu(h, beta_t, n_occ):
-    if beta_t <= 0:
-        raise ValueError("inverse temperature beta_t must be positive")
-    n = h.shape[0]
-    if not 0.0 < n_occ < n:
-        raise ValueError(f"n_occ must lie in (0, {n}), got {n_occ}")
-    eig = sym_eigendecompose(h)
-    mu0 = _solve_mu(eig.values, beta_t, n_occ)
-    return eig, mu0

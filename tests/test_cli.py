@@ -72,6 +72,19 @@ class TestGroundState:
         assert rep["results"]["route"] == "sparse"
         assert rep["results"]["nnz_d0"] > 0
 
+    @pytest.mark.parametrize(
+        "route_args", [[], ["--beta-t", "20"], ["--kernel", "hubbard:0.1"]]
+    )
+    def test_overlap_matches_respond(self, tmp_path, route_args):
+        # every ground-state route must honour the overlap the way respond does
+        model = ["--kind", "overlap_chain", "--size", "40"] + route_args
+        code, gs = run_cli(["ground-state"] + model, tmp_path, "gs.json")
+        assert code == 0
+        _, resp = run_cli(["respond", "--mode", "perturb"] + model, tmp_path, "resp.json")
+        a0_gs, a0_resp = gs["results"]["a0"], resp["results"]["a0"]
+        assert abs(a0_gs - a0_resp) <= 1e-10 * abs(a0_resp)
+        assert abs(gs["results"]["trace_d0"] - 20.0) <= 1e-8
+
 
 class TestRespond:
     def test_worked_2x2_case(self, tmp_path):
@@ -173,21 +186,23 @@ class TestRespond:
 
 
 class TestErrorPaths:
-    def test_mutually_exclusive_flags_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["respond", "--kind", "chain", "--size", "8", "--tau", "1e-6", "--precision", "split16"],
+            ["ground-state", "--kind", "overlap_chain", "--size", "8", "--tau", "1e-6"],
+            ["ground-state", "--kind", "overlap_chain", "--size", "8", "--precision", "split16"],
+            ["ground-state", "--kind", "chain", "--size", "8", "--kernel", "hubbard:0.1", "--beta-t", "0"],
+            ["respond", "--kind", "chain", "--size", "8", "--kernel", "hubbard:0.1", "--beta-t", "0"],
+            ["respond", "--kind", "chain", "--size", "8", "--kernel", "hubbard:0.1", "--beta-t", "-1"],
+            ["ground-state", "--kind", "chain", "--size", "8", "--beta-t", "-1"],
+            ["audit", "--kind", "chain", "--size", "8", "--beta-t", "0"],
+            ["audit", "--kind", "chain", "--size", "8", "--beta-t", "-1"],
+        ],
+    )
+    def test_mutually_exclusive_flags_exit_2(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "respond",
-                    "--kind",
-                    "chain",
-                    "--size",
-                    "8",
-                    "--tau",
-                    "1e-6",
-                    "--precision",
-                    "split16",
-                ]
-            )
+            main(argv)
         assert exc.value.code == 2
 
     def test_missing_input_exit_2(self):

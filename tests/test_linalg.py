@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import (
     apply_matrix_function,
     congruence_transform,
@@ -49,12 +48,13 @@ class TestEigendecompose:
             v = eig.vectors[:, col]
             assert min(np.abs(v - ref).max(), np.abs(v + ref).max()) < 1e-14
 
-    def test_random_reconstruction(self, rng):
-        x = random_symmetric(rng, 50)
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_random_reconstruction(self, rng, n):
+        x = random_symmetric(rng, n)
         eig = sym_eigendecompose(x)
         rec = (eig.vectors * eig.values) @ eig.vectors.T
         assert np.linalg.norm(rec - x) <= 1e-9 * np.linalg.norm(x)
-        assert np.linalg.norm(eig.vectors.T @ eig.vectors - np.eye(50)) <= 1e-10 * 50
+        assert np.linalg.norm(eig.vectors.T @ eig.vectors - np.eye(n)) <= 1e-10 * n
         assert np.all(np.diff(eig.values) >= 0)
 
     def test_deterministic(self, rng):
@@ -64,10 +64,11 @@ class TestEigendecompose:
         assert np.array_equal(e1.values, e2.values)
         assert np.array_equal(e1.vectors, e2.vectors)
 
-    def test_nonconvergence_reports_residual(self, rng):
-        x = random_symmetric(rng, 30)
-        with pytest.raises(ConvergenceError, match="off-diagonal"):
-            sym_eigendecompose(x, max_sweeps=1)
+    def test_rejects_nonsquare_and_nonfinite(self):
+        with pytest.raises(ValueError, match="square"):
+            sym_eigendecompose(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="non-finite"):
+            sym_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestApplyMatrixFunction:

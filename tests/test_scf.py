@@ -213,3 +213,5 @@ def test_scf_config_validation():
         ScfConfig(c_mix=0.0)
     with pytest.raises(ValueError):
         ScfConfig(eps_scf=-1.0)
+    with pytest.raises(ValueError):
+        ScfConfig(beta_t=0.0)
