@@ -60,7 +60,7 @@ from .scf import (
     scf_susceptibility,
 )
 from .sp2 import Sp2Trace, sp2_ground_state
-from .sparse import SparseMatrix, sp_multiply_add, sparsify
+from .sparse import SparseMatrix, sparsify
 from .thermal import (
     ThermalConfig,
     canonical_dm_response,
@@ -122,7 +122,6 @@ __all__ = [
     "Sp2Trace",
     "sp2_ground_state",
     "SparseMatrix",
-    "sp_multiply_add",
     "sparsify",
     "ThermalConfig",
     "canonical_dm_response",

@@ -177,6 +177,14 @@ def _to_orthogonal(s, *mats):
     return tuple(linalg.congruence_transform(m, z, "to_orthogonal") for m in mats)
 
 
+def _sparse_h0(h0, tau: float) -> SparseMatrix:
+    """h0 in sparse storage at drop tolerance tau. A loaded coordinate file
+    is exactly symmetric, so it is re-thresholded without densifying."""
+    if not isinstance(h0, SparseMatrix):
+        return sparse.sparsify(h0, tau)
+    return h0 if h0.tau == tau else sparse.threshold(h0.csr.copy(), tau)
+
+
 def _check_finite(obj, path="report"):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -233,9 +241,7 @@ def _run_ground_state(cfg: RunConfig) -> dict:
         _reject(cfg, precision="--tau requires --precision f64")
         if s is not None:
             raise UsageError("--tau cannot be combined with an overlap matrix")
-        hs = h0 if isinstance(h0, SparseMatrix) else sparse.sparsify(h0, cfg.tau)
-        if hs.tau != cfg.tau:
-            hs = sparse.sparsify(hs.to_dense(), cfg.tau)
+        hs = _sparse_h0(h0, cfg.tau)
         d0, trace = sp2.sp2_ground_state(hs, n_occ)
         results["route"] = "sparse"
         results["tau"] = cfg.tau
@@ -363,9 +369,7 @@ def _run_respond(cfg: RunConfig) -> dict:
             raise UsageError("--tau and --precision split16/f32 are mutually exclusive")
         if s is not None:
             raise UsageError("--tau cannot be combined with an overlap matrix")
-        hs = h0 if isinstance(h0, SparseMatrix) else sparse.sparsify(h0, cfg.tau)
-        if hs.tau != cfg.tau:
-            hs = sparse.sparsify(hs.to_dense(), cfg.tau)
+        hs = _sparse_h0(h0, cfg.tau)
         a_s = sparse.sparsify(a, cfg.tau)
         h1_s = sparse.sparsify(h1, cfg.tau)
         out = _respond_dense(hs, a_s, h1_s, n_occ, cfg.mode)
@@ -425,6 +429,12 @@ def _run_respond(cfg: RunConfig) -> dict:
 
 
 def _run_audit(cfg: RunConfig) -> dict:
+    _reject(
+        cfg,
+        kernel="audit has no self-consistent route; drop --kernel",
+        tau="audit runs dense routes; drop --tau",
+        precision="audit runs in float64; drop --precision",
+    )
     h0, s, a, h1 = _load_or_generate(cfg)
     if s is not None:
         raise UsageError("audit runs in an orthonormal basis; drop --overlap")
@@ -440,6 +450,19 @@ def _run_audit(cfg: RunConfig) -> dict:
 def _run_benchmark(cfg: RunConfig) -> dict:
     if not cfg.sizes:
         raise UsageError("--sizes is required for benchmark")
+    generated = "benchmark generates its own inputs; drop --h0, --h1, --obs and --overlap"
+    _reject(
+        cfg,
+        kernel="benchmark has no self-consistent route; drop --kernel",
+        beta_t="benchmark runs at zero temperature; drop --beta-t",
+        precision="benchmark runs the float64 sparse route; drop --precision",
+        h0=generated,
+        h1=generated,
+        obs=generated,
+        overlap=generated,
+    )
+    if cfg.kind == "overlap_chain":
+        raise UsageError("benchmark runs in an orthonormal basis; --kind overlap_chain has an overlap")
     kind = cfg.kind or "chain"
     tau = cfg.tau if cfg.tau is not None else 1e-6
     per_size = []

@@ -2,17 +2,19 @@
 
 Two pinned formats: "matrix array real general" (dense, column-major body,
 symmetrized on load with an asymmetry check) and "matrix coordinate real
-symmetric" (1-based indices, lower triangle stored, mirrored on load into
-thresholded sparse storage). Values are written with 17 significant digits
-so a write/read round trip reproduces doubles bit for bit.
+symmetric" (1-based indices, lower triangle stored, each entry at most
+once, mirrored on load into sparse storage built straight from the entry
+list). Values are written with 17 significant digits so a write/read round
+trip reproduces doubles bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .linalg import symmetric_matrix
-from .sparse import SparseMatrix, _canonical
+from .sparse import SparseMatrix, threshold
 
 BANNER = "%%MatrixMarket"
 
@@ -110,8 +112,10 @@ def read_matrix_market(path) -> np.ndarray | SparseMatrix:
         raise MatrixMarketError(
             path, size_no, f"expected {nnz} entries, found {len(entries)}"
         )
-    dense = np.zeros((rows, cols))
-    for no, ln in entries:
+    ii = np.empty(nnz, dtype=np.int64)
+    jj = np.empty(nnz, dtype=np.int64)
+    vv = np.empty(nnz)
+    for k, (no, ln) in enumerate(entries):
         parts = ln.split()
         if len(parts) != 3:
             raise MatrixMarketError(path, no, f"entry needs 'i j value': {ln!r}")
@@ -125,9 +129,21 @@ def read_matrix_market(path) -> np.ndarray | SparseMatrix:
             raise MatrixMarketError(
                 path, no, f"upper-triangle entry ({i}, {j}) in a symmetric file"
             )
-        dense[i - 1, j - 1] = v
-        dense[j - 1, i - 1] = v
-    return SparseMatrix(_canonical(dense), tau=0.0)
+        ii[k], jj[k], vv[k] = i - 1, j - 1, v
+    # stable sort: within a run of equal keys the file order is kept, so the
+    # second and later members of a run are the repeated lines
+    key = ii * rows + jj
+    order = np.argsort(key, kind="stable")
+    repeated = order[1:][np.diff(key[order]) == 0]
+    if repeated.size:
+        k = int(repeated.min())
+        raise MatrixMarketError(
+            path, entries[k][0], f"duplicate entry ({ii[k] + 1}, {jj[k] + 1})"
+        )
+    off = ii != jj
+    vals = np.concatenate([vv, vv[off]])
+    coords = (np.concatenate([ii, jj[off]]), np.concatenate([jj, ii[off]]))
+    return threshold(sp.coo_matrix((vals, coords), shape=(rows, cols)), 0.0)
 
 
 def write_matrix_market(path, m) -> None:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import symmetrize, trace_product
 from .sp2 import Sp2Trace, _accept, _expand, _ops_for
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, check_symmetric
 
 
 @dataclass(frozen=True)
@@ -98,6 +98,8 @@ def susceptibility_backward(h0, a, n_occ, bounds=None):
     Returns (d0, chi, trace).
     """
     _check_same_kind(h0, a, "a")
+    if isinstance(a, SparseMatrix):
+        check_symmetric(a, "a")
     x, _, trace, stored = _expand(h0, n_occ, bounds, store_x=True)
     ops = _ops_for(h0)
     _accept(ops, x, trace)

@@ -1,9 +1,16 @@
 """Numerically thresholded symmetric sparse matrix algebra.
 
-Row-compressed storage with a drop tolerance tau. Entries are dropped in
-symmetric pairs: (i, j) and (j, i) go together, and only when both magnitudes
-fall below tau, so logical symmetry is preserved exactly. Thresholding is
-applied after each multiply-add, not inside inner products.
+Row-compressed storage with a drop tolerance tau. Every product and
+combination in the SP2 recursion is exactly symmetric: scipy's CSR product
+sums each entry in a fixed order, and with sorted column indices entries
+(i, j) and (j, i) of X@X, 2X - X^2 and P + P^T are the same sums in the same
+order. So `threshold` applies a plain elementwise drop (|x_ij| < tau) after
+each multiply-add, and that drop keeps the pattern symmetric. The SP2 entry
+point checks once that its sparse inputs are exactly symmetric.
+
+`sparsify` takes arbitrary dense input and keeps the symmetric pairwise
+rule: (i, j) and (j, i) are dropped together, only when both magnitudes
+fall below tau, and survivors store the symmetrized value.
 
 The arithmetic kernel is scipy's CSR matrix product, which is deterministic
 (fixed row order, fixed reduction order) so repeated runs are bit-identical.
@@ -56,23 +63,26 @@ def _canonical(m) -> sp.csr_matrix:
     return c
 
 
-def _sym_threshold(raw, dim: int, tau: float) -> sp.csr_matrix:
-    """Symmetrize a raw CSR result and apply the pairwise drop rule.
+def threshold(raw, tau: float) -> SparseMatrix:
+    """Canonicalize an exactly symmetric raw result and drop |x_ij| < tau.
 
-    An entry pair survives when max(|raw_ij|, |raw_ji|) >= tau; surviving
-    entries store the symmetrized value (raw_ij + raw_ji)/2.
+    On a symmetric matrix this equals the pairwise rule of `sparsify`.
+    Explicit zeros are removed. The arrays of a CSR `raw` may be reused and
+    modified in place, so pass a fresh result or a copy.
     """
-    r = _canonical(raw)
-    rt = _canonical(r.transpose())
-    s = _canonical(r + rt)
-    s.data *= 0.5
-    if tau > 0.0 and s.nnz:
-        coo = s.tocoo()  # canonical CSR: data order matches s.data
-        va = np.abs(np.asarray(r[coo.row, coo.col]).ravel())
-        vb = np.abs(np.asarray(rt[coo.row, coo.col]).ravel())
-        s.data[np.maximum(va, vb) < tau] = 0.0
-        s.eliminate_zeros()
-    return s
+    if tau < 0:
+        raise ValueError("drop tolerance tau must be non-negative")
+    m = _canonical(raw)
+    if tau > 0.0:
+        m.data[np.abs(m.data) < tau] = 0.0
+    m.eliminate_zeros()
+    return SparseMatrix(m, tau)
+
+
+def check_symmetric(m: SparseMatrix, name: str) -> None:
+    """Raise ValueError unless the stored matrix equals its transpose exactly."""
+    if (m.csr != m.csr.T).nnz:
+        raise ValueError(f"sparse {name} is not exactly symmetric")
 
 
 def sparsify(x: np.ndarray, tau: float) -> SparseMatrix:
@@ -84,38 +94,6 @@ def sparsify(x: np.ndarray, tau: float) -> SparseMatrix:
     keep = np.maximum(np.abs(x), np.abs(x.T)) >= tau
     vals = np.where(keep, 0.5 * (x + x.T), 0.0)
     return SparseMatrix(_canonical(vals), tau)
-
-
-def sp_identity(n: int, tau: float) -> SparseMatrix:
-    return SparseMatrix(_canonical(sp.identity(n, format="csr")), tau)
-
-
-def sp_multiply_add(
-    a: float,
-    x: SparseMatrix,
-    y: SparseMatrix,
-    b: float,
-    z: SparseMatrix | None,
-    tau: float,
-) -> SparseMatrix:
-    """a*X@Y + b*Z, thresholded at tau and symmetrized.
-
-    The symmetrization makes the result exact only when the exact result is
-    symmetric (the case in every expansion here, where products enter in
-    X@X or P + P^T combinations).
-    """
-    if tau < 0:
-        raise ValueError("drop tolerance tau must be non-negative")
-    if x.dim != y.dim:
-        raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
-    raw = (x.csr @ y.csr) * a if a != 0.0 else sp.csr_matrix((x.dim, x.dim))
-    if b != 0.0:
-        if z is None:
-            raise ValueError("b is nonzero but no Z matrix was supplied")
-        if z.dim != x.dim:
-            raise ValueError(f"dimension mismatch: {x.dim} vs {z.dim}")
-        raw = raw + z.csr * b
-    return SparseMatrix(_sym_threshold(raw, x.dim, tau), tau)
 
 
 def sp_trace_product(a: SparseMatrix, b: SparseMatrix) -> float:

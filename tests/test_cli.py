@@ -5,7 +5,8 @@ import pytest
 
 from dmresponse.cli import main
 from dmresponse.mmio import write_matrix_market
-from dmresponse.models import gapped_random_hamiltonian
+from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
+from dmresponse.sparse import sparsify
 
 from conftest import random_symmetric
 
@@ -115,6 +116,24 @@ class TestRespond:
         assert abs(vals["a1_dual_backward"] + 1.0) <= 1e-10
         assert max(rep["results"]["duality_deviations"].values()) <= 1e-10
 
+    @pytest.mark.parametrize("subcommand", ["ground-state", "respond"])
+    def test_tau_coordinate_file_matches_array_file(self, tmp_path, subcommand):
+        # a coordinate h0 is re-thresholded in sparse storage; the same matrix
+        # from a dense array file goes through sparsify's pairwise rule
+        n = 60
+        h = chain_hamiltonian(n, 1.0)
+        idx = np.arange(n - 3)
+        h[idx, idx + 3] = h[idx + 3, idx] = 1e-8  # below tau: dropped either way
+        write_matrix_market(tmp_path / "h_coo.mtx", sparsify(h, 0.0))
+        write_matrix_market(tmp_path / "h_arr.mtx", h)
+        reports = []
+        for name in ("h_coo.mtx", "h_arr.mtx"):
+            args = [subcommand, "--h0", str(tmp_path / name), "--tau", "1e-6", "--seed", "3"]
+            code, rep = run_cli(args, tmp_path, name + ".json")
+            assert code == 0 and rep["results"]["route"] == "sparse"
+            reports.append(rep)
+        assert reports[0]["results"] == reports[1]["results"]
+
     def test_determinism_modulo_timing(self, tmp_path):
         args = [
             "respond",
@@ -198,6 +217,10 @@ class TestErrorPaths:
             ["ground-state", "--kind", "chain", "--size", "8", "--beta-t", "-1"],
             ["audit", "--kind", "chain", "--size", "8", "--beta-t", "0"],
             ["audit", "--kind", "chain", "--size", "8", "--beta-t", "-1"],
+            ["benchmark", "--kind", "overlap_chain", "--sizes", "50"],
+            ["benchmark", "--kind", "chain", "--sizes", "50", "--precision", "split16"],
+            ["audit", "--kind", "chain", "--size", "8", "--kernel", "hubbard:0.5"],
+            ["audit", "--kind", "chain", "--size", "8", "--tau", "1e-6", "--precision", "split16"],
         ],
     )
     def test_mutually_exclusive_flags_exit_2(self, tmp_path, capsys, argv):

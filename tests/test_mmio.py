@@ -59,6 +59,7 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         ("%%MatrixMarket matrix array real general\n2 2\n1\nbogus\n0\n1\n", 4),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 0.5\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 0.5\n", 3),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n2 1 0.5\n1 1 1\n2 1 0.7\n", 5),
     ],
 )
 def test_malformed_files_report_line(tmp_path, content, line_no):
@@ -74,3 +75,26 @@ def test_asymmetric_array_rejected(tmp_path):
     p.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0.5\n0\n1\n")
     with pytest.raises(MatrixMarketError, match="not symmetric"):
         read_matrix_market(p)
+
+
+def test_duplicate_coordinate_entry_rejected(tmp_path):
+    p = tmp_path / "dup.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n3 1 0.5\n2 2 1\n3 1 0.5\n")
+    with pytest.raises(MatrixMarketError, match=r":5: duplicate entry \(3, 1\)"):
+        read_matrix_market(p)
+
+
+def test_coordinate_matches_dense_array(tmp_path, rng):
+    # explicit zeros are not stored; values are bit-identical to the file
+    x = random_symmetric(rng, 12)
+    x[np.abs(x) < 0.5] = 0.0
+    lines = [f"{i + 1} {j + 1} {x[i, j]:.17g}" for j in range(12) for i in range(j, 12)]
+    p = tmp_path / "x.mtx"
+    p.write_text(
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        f"12 12 {len(lines)}\n" + "\n".join(lines) + "\n"
+    )
+    m = read_matrix_market(p)
+    assert np.array_equal(m.to_dense(), x)
+    assert m.nnz == np.count_nonzero(x)
+    assert m.tau == 0.0

@@ -1,13 +1,28 @@
 import numpy as np
 import pytest
 
+from dmresponse import sp2
 from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import SpectralBounds, sym_eigendecompose, trace_product
 from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
+from dmresponse.response import dm_perturbation_forward, susceptibility_backward
 from dmresponse.sp2 import sp2_ground_state
-from dmresponse.sparse import sparsify
+from dmresponse.sparse import SparseMatrix, sparsify
 
 from conftest import random_symmetric
+
+
+def banded_random(n, band, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    x = random_symmetric(rng, n, scale)
+    i, j = np.indices((n, n))
+    x[np.abs(i - j) > band] = 0.0
+    return x
+
+
+def gapped_banded(n, seed):
+    # alternating on-site energies +/-1.5 open a gap under weak banded disorder
+    return np.diag(np.where(np.arange(n) % 2 == 0, 1.5, -1.5)) + banded_random(n, 3, seed, 0.3)
 
 
 class TestGroundState:
@@ -114,3 +129,45 @@ class TestSparseGroundState:
         # decay length is set by the gap, not the chain length
         assert max(per_row) - min(per_row) <= 2
         assert max(per_row) < 120
+
+    def test_coarse_tau_wrong_occupation_rejected(self):
+        # tau = 5e-2 on a gap-0.5 chain misses the occupation by ~19 electrons
+        with pytest.raises(ConvergenceError, match="occupation error"):
+            sp2_ground_state(sparsify(chain_hamiltonian(400, 0.5), 5e-2), 200)
+
+    @pytest.mark.parametrize("model", ["chain", "banded"])
+    def test_iterates_exactly_symmetric(self, monkeypatch, model):
+        # the plain drop rule relies on every product being bitwise symmetric
+        n, tau = 200, 1e-6
+        h = chain_hamiltonian(n, 1.0) if model == "chain" else gapped_banded(n, 11)
+        seen = []
+        for name in ("seed", "square", "combine", "pair_update"):
+            method = getattr(sp2._SparseOps, name)
+
+            def record(*args, _method=method):
+                out = _method(*args)
+                seen.append(out)
+                return out
+
+            monkeypatch.setattr(sp2._SparseOps, name, record)
+        hs = sparsify(h, tau)
+        h1 = sparsify(banded_random(n, 2, 12), tau)
+        _, d1, trace = dm_perturbation_forward(hs, h1, n // 2)
+        _, chi, _ = susceptibility_backward(hs, h1, n // 2)
+        assert trace.m_steps > 10
+        assert len(seen) > 5 * trace.m_steps
+        for x in seen + [d1, chi]:
+            assert (x.csr != x.csr.T).nnz == 0
+
+    def test_asymmetric_inputs_rejected(self):
+        n = 40
+        h = sparsify(chain_hamiltonian(n, 1.0), 1e-6)
+        bumped = h.csr.copy()
+        bumped[0, 1] = bumped[0, 1] * (1.0 + 1e-15)
+        asym = SparseMatrix(bumped, h.tau)
+        with pytest.raises(ValueError, match="h0 is not exactly symmetric"):
+            sp2_ground_state(asym, n // 2)
+        with pytest.raises(ValueError, match="seed is not exactly symmetric"):
+            dm_perturbation_forward(h, asym, n // 2)
+        with pytest.raises(ValueError, match="a is not exactly symmetric"):
+            susceptibility_backward(h, asym, n // 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dmresponse.models import chain_hamiltonian
-from dmresponse.sparse import SparseMatrix, sp_gershgorin, sp_multiply_add, sparsify
+from dmresponse.sparse import SparseMatrix, check_symmetric, sp_gershgorin, sparsify, threshold
 
 from conftest import random_symmetric
 
@@ -53,58 +53,49 @@ class TestSparsify:
         assert np.array_equal(d, d.T)
 
 
-class TestSpMultiplyAdd:
-    def test_identity_times_matrix(self, rng):
-        y = sparsify(banded_symmetric(rng, 30), 0.0)
-        ident = sparsify(np.eye(30), 0.0)
-        out = sp_multiply_add(1.0, ident, y, 0.0, None, 0.0)
-        np.testing.assert_allclose(out.to_dense(), y.to_dense(), atol=1e-15)
-
+class TestThreshold:
     def test_pure_rethreshold(self, rng):
         z = sparsify(banded_symmetric(rng, 20), 0.0)
-        out = sp_multiply_add(0.0, z, z, 1.0, z, 1e-1)
+        out = threshold(z.csr.copy(), 1e-1)
         dense = z.to_dense()
         expect = np.where(np.abs(dense) >= 1e-1, dense, 0.0)
-        np.testing.assert_allclose(out.to_dense(), expect, atol=1e-15)
+        assert np.array_equal(out.to_dense(), expect)
 
-    def test_matches_dense_reference(self, rng):
-        n, tau = 200, 1e-8
-        x = sparsify(banded_symmetric(rng, n, band=4), 0.0)
-        y = sparsify(banded_symmetric(rng, n, band=4), 0.0)
-        z = sparsify(banded_symmetric(rng, n, band=4), 0.0)
-        out = sp_multiply_add(0.7, x, y, -1.3, z, tau)
-        ref = 0.7 * 0.5 * (x.to_dense() @ y.to_dense() + y.to_dense() @ x.to_dense())
-        ref -= 1.3 * z.to_dense()
-        assert np.max(np.abs(out.to_dense() - ref)) <= tau * n
-
-    def test_missing_z_rejected(self, rng):
-        x = sparsify(np.eye(4), 0.0)
-        with pytest.raises(ValueError, match="no Z matrix"):
-            sp_multiply_add(1.0, x, x, 2.0, None, 0.0)
-
-    def test_dimension_mismatch(self):
-        x = sparsify(np.eye(4), 0.0)
-        y = sparsify(np.eye(5), 0.0)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            sp_multiply_add(1.0, x, y, 0.0, None, 0.0)
-
-    def test_result_symmetric_and_thresholded(self, rng):
+    def test_stored_values_at_least_tau(self, rng):
         x = sparsify(banded_symmetric(rng, 50), 0.0)
-        out = sp_multiply_add(1.0, x, x, -0.5, x, 1e-4)
+        out = threshold(x.csr @ x.csr - x.csr * 0.5, 1e-1)
         d = out.to_dense()
         assert np.array_equal(d, d.T)
-        assert np.all(np.abs(out.csr.data) >= 1e-4)
+        assert out.nnz < (x.csr @ x.csr).nnz
+        assert np.all(np.abs(out.csr.data) >= 1e-1)
 
-    def test_error_accumulation_linear_in_calls(self, rng):
-        n, tau, k = 100, 1e-7, 8
-        x = sparsify(banded_symmetric(rng, n, band=2, scale=0.3), 0.0)
-        dense = x.to_dense()
-        cur = x
-        cur_dense = dense.copy()
-        for _ in range(k):
-            cur = sp_multiply_add(1.0, cur, x, 0.5, cur, tau)
-            cur_dense = 0.5 * (cur_dense @ dense + dense @ cur_dense) + 0.5 * cur_dense
-        assert np.max(np.abs(cur.to_dense() - cur_dense)) <= k * tau * n
+    def test_matches_pairwise_rule_on_symmetric_input(self, rng):
+        x = banded_symmetric(rng, 40)
+        out = threshold(sparsify(x, 0.0).csr, 0.3)
+        ref = sparsify(x, 0.3)
+        assert np.array_equal(out.csr.indptr, ref.csr.indptr)
+        assert np.array_equal(out.csr.indices, ref.csr.indices)
+        assert np.array_equal(out.csr.data, ref.csr.data)
+
+    def test_removes_explicit_zeros(self):
+        import scipy.sparse as sp
+
+        data, cols, ptr = np.array([1.0, 0.0, -0.0]), np.array([0, 1, 2]), np.array([0, 3, 3, 3])
+        raw = sp.csr_matrix((data, cols, ptr), shape=(3, 3))
+        assert threshold(raw, 0.0).nnz == 1
+
+    def test_rejects_negative_tau(self):
+        with pytest.raises(ValueError):
+            threshold(sparsify(np.eye(2), 0.0).csr, -1.0)
+
+
+def test_check_symmetric(rng):
+    x = sparsify(banded_symmetric(rng, 30), 0.0)
+    check_symmetric(x, "x")
+    bumped = x.csr.copy()
+    bumped[0, 1] = bumped[0, 1] + 1e-15
+    with pytest.raises(ValueError, match="not exactly symmetric"):
+        check_symmetric(SparseMatrix(bumped, 0.0), "x")
 
 
 def test_sp_gershgorin_matches_dense(rng):
