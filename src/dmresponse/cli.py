@@ -65,13 +65,18 @@ def _load_or_generate(cfg: RunConfig):
 
     Generated runs fill any missing observable/perturbation with seeded
     random symmetric matrices so a bare model run is self-contained.
+    Coordinate files for h0, the observable and the perturbation stay in
+    sparse storage when --tau is given; otherwise they are densified.
     """
     rng = np.random.default_rng(cfg.seed)
     s = None
+
+    def load(path):
+        m = read_matrix_market(path)
+        return m.to_dense() if isinstance(m, SparseMatrix) and cfg.tau is None else m
+
     if cfg.h0:
-        h0 = read_matrix_market(cfg.h0)
-        if isinstance(h0, SparseMatrix) and cfg.tau is None:
-            h0 = h0.to_dense()
+        h0 = load(cfg.h0)
     elif cfg.kind:
         if cfg.size is None:
             raise UsageError("--size is required when generating a model")
@@ -93,10 +98,10 @@ def _load_or_generate(cfg: RunConfig):
 
     def aux(path, tag):
         if path:
-            m = read_matrix_market(path)
-            m = m.to_dense() if isinstance(m, SparseMatrix) else m
-            if m.shape[0] != n:
-                raise UsageError(f"--{tag} has dimension {m.shape[0]}, h0 has {n}")
+            m = load(path)
+            dim = m.dim if isinstance(m, SparseMatrix) else m.shape[0]
+            if dim != n:
+                raise UsageError(f"--{tag} has dimension {dim}, h0 has {n}")
             return m
         return linalg.symmetrize(rng.standard_normal((n, n)))
 
@@ -177,12 +182,12 @@ def _to_orthogonal(s, *mats):
     return tuple(linalg.congruence_transform(m, z, "to_orthogonal") for m in mats)
 
 
-def _sparse_h0(h0, tau: float) -> SparseMatrix:
-    """h0 in sparse storage at drop tolerance tau. A loaded coordinate file
+def _as_sparse(m, tau: float) -> SparseMatrix:
+    """m in sparse storage at drop tolerance tau. A loaded coordinate file
     is exactly symmetric, so it is re-thresholded without densifying."""
-    if not isinstance(h0, SparseMatrix):
-        return sparse.sparsify(h0, tau)
-    return h0 if h0.tau == tau else sparse.threshold(h0.csr.copy(), tau)
+    if not isinstance(m, SparseMatrix):
+        return sparse.sparsify(m, tau)
+    return m if m.tau == tau else sparse.threshold(m.csr.copy(), tau)
 
 
 def _check_finite(obj, path="report"):
@@ -241,13 +246,13 @@ def _run_ground_state(cfg: RunConfig) -> dict:
         _reject(cfg, precision="--tau requires --precision f64")
         if s is not None:
             raise UsageError("--tau cannot be combined with an overlap matrix")
-        hs = _sparse_h0(h0, cfg.tau)
+        hs = _as_sparse(h0, cfg.tau)
         d0, trace = sp2.sp2_ground_state(hs, n_occ)
         results["route"] = "sparse"
         results["tau"] = cfg.tau
         results["nnz_d0"] = d0.nnz
         results["trace_d0"] = d0.trace()
-        results["a0"] = _trace_product(sparse.sparsify(a, 0.0), d0)
+        results["a0"] = _trace_product(_as_sparse(a, 0.0), d0)
         results["expansion"] = _trace_summary(trace)
         return results
 
@@ -291,8 +296,9 @@ def _respond_dense(h0, a, h1, n_occ, mode) -> dict:
     if mode in ("suscept-bwd", "both"):
         d0, chi_b, trace_b = response.susceptibility_backward(h0, a, n_occ)
         values["a1_dual_backward"] = _trace_product(chi_b, h1)
-        n = h0.dim if isinstance(h0, SparseMatrix) else h0.shape[0]
-        out["backward_stored_floats"] = trace_b.m_steps * n * n
+        if not isinstance(h0, SparseMatrix):
+            # sparse iterates hold only their nnz entries, so no N^2 count
+            out["backward_stored_floats"] = trace_b.m_steps * h0.shape[0] ** 2
         trace = trace or trace_b
     out["a0"] = _trace_product(a, d0)
     out["values"] = {k: v for k, v in values.items()}
@@ -369,9 +375,7 @@ def _run_respond(cfg: RunConfig) -> dict:
             raise UsageError("--tau and --precision split16/f32 are mutually exclusive")
         if s is not None:
             raise UsageError("--tau cannot be combined with an overlap matrix")
-        hs = _sparse_h0(h0, cfg.tau)
-        a_s = sparse.sparsify(a, cfg.tau)
-        h1_s = sparse.sparsify(h1, cfg.tau)
+        hs, a_s, h1_s = (_as_sparse(m, cfg.tau) for m in (h0, a, h1))
         out = _respond_dense(hs, a_s, h1_s, n_occ, cfg.mode)
         out["route"] = "sparse"
         out["tau"] = cfg.tau

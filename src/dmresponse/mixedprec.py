@@ -9,20 +9,35 @@ multiplication, so one iterate-square costs 2 elementary products and one
 general symmetrized product costs 3: 5 per expansion step.
 
 Values are stored widened (float32 arrays constrained to the binary16 grid);
-nothing here dispatches to real low-precision hardware.
+nothing here dispatches to real low-precision hardware. Rounding onto the
+grid is exact integer arithmetic on the float64 bit pattern (`_round16`),
+bit-identical to numpy's float16 cast but without its slow path for the
+binary16 subnormals that fill every low part.
+
+Both pipelines run the one SP2 engine, `sp2._expand`, with a kernel of
+their own: `_F32Ops` (plain float32 products) and `_Split16Ops` (split
+products). Each kernel owns its product counter. The split16 kernel splits
+each iterate once per step; the square and the pair update share that
+split.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConvergenceError
-from .linalg import gershgorin_bounds
-from .sp2 import IDEMPOTENCY_FLOOR, MAX_ITERATIONS, Sp2Trace, _init_scalars
+from .sp2 import Sp2Trace, _expand
 
 BINARY16_MAX = 65504.0
+BINARY16_MIN_NORMAL = 2.0**-14
+
+# binary16 keeps the top 10 of float64's 52 fraction bits; rounding adds
+# just under half of the dropped range, plus the lowest kept bit (ties to
+# even), then clears the 42 dropped bits.
+_DROPPED_BITS = np.uint64(42)
+_HALF_DROPPED_MINUS_ONE = np.uint64((1 << 41) - 1)
+_KEPT_BITS = np.uint64(((1 << 64) - 1) ^ ((1 << 42) - 1))
 
 
 def round_binary16(x: float) -> float:
@@ -39,13 +54,43 @@ def round_binary16(x: float) -> float:
     return float(np.float16(x))
 
 
+def _round16(x: np.ndarray) -> np.ndarray:
+    """Round a float64 array to the nearest binary16 value (ties to even),
+    widened to float32.
+
+    Equal bit for bit to `np.float16(x).astype(np.float32)` wherever that is
+    finite, that is for |x| < 65520, but without numpy's slow path for
+    binary16 subnormals. Callers reject larger magnitudes first.
+
+    Normal range: integer rounding of the float64 bit pattern at bit 42; a
+    carry out of the fraction rolls into the exponent, as it should.
+    Subnormal range (|x| < 2^-14): the binary16 grid is uniform with step
+    2^-24, so rint on the scaled value rounds it (keeping the sign of zero).
+    """
+    bits = x.view(np.uint64)
+    out = bits >> _DROPPED_BITS
+    out &= np.uint64(1)
+    out += _HALF_DROPPED_MINUS_ONE
+    out += bits
+    out &= _KEPT_BITS
+    out = out.view(np.float64)
+    sub = np.abs(x)
+    tiny = sub < BINARY16_MIN_NORMAL
+    if tiny.any():
+        np.multiply(x, 2.0**24, out=sub)
+        np.rint(sub, out=sub)
+        sub *= 2.0**-24
+        np.copyto(out, sub, where=tiny)
+    return out.astype(np.float32)
+
+
 def _round_array16(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot round non-finite values to binary16")
     if np.any(np.abs(x) > BINARY16_MAX):
         bad = float(np.max(np.abs(x)))
         raise OverflowError(f"entry magnitude {bad!r} exceeds the binary16 range")
-    return np.float16(x).astype(np.float32)
+    return _round16(x)
 
 
 @dataclass(frozen=True)
@@ -60,10 +105,14 @@ class SplitMatrix:
         for name, part in (("high", self.high), ("low", self.low)):
             if part.dtype != np.float32:
                 raise ValueError(f"{name} part must be float32 storage")
-            if not np.all(np.float16(part) == part):
+            if not np.array_equal(_round16(part.astype(np.float64)), part):
                 raise ValueError(f"{name} part has entries off the binary16 grid")
             if not np.all(np.isfinite(part)):
                 raise ValueError(f"{name} part has non-finite entries")
+            # finite float32 values beyond the binary16 range round to
+            # themselves under _round16, so range is checked on its own
+            if np.max(np.abs(part), initial=0.0) > BINARY16_MAX:
+                raise ValueError(f"{name} part has entries off the binary16 grid")
 
     @property
     def dim(self) -> int:
@@ -76,8 +125,9 @@ class SplitMatrix:
 
 def split(x: np.ndarray) -> SplitMatrix:
     """Split a matrix into its two-term binary16 representation."""
-    high = _round_array16(np.asarray(x, dtype=np.float64))
-    low = _round_array16(np.asarray(x, dtype=np.float64) - high.astype(np.float64))
+    x64 = np.asarray(x, dtype=np.float64)
+    high = _round_array16(x64)
+    low = _round_array16(x64 - high)
     return SplitMatrix(high=high, low=low)
 
 
@@ -116,9 +166,7 @@ def mixed_gemm(
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     if symmetric_same:
-        p_hh = _gemm16(x.high, x.high, counter)
-        p_hl = _gemm16(x.high, x.low, counter)
-        out = p_hh + p_hl + p_hl.T
+        out = _mixed_square(x, counter)
     else:
         out = (
             _gemm16(x.high, y.high, counter)
@@ -128,6 +176,13 @@ def mixed_gemm(
     if include_low_low:
         out = out + _gemm16(x.low, y.low, counter)
     return out.astype(np.float64)
+
+
+def _mixed_square(x: SplitMatrix, counter: MultCounter | None) -> np.ndarray:
+    """X X for symmetric X in two elementary products, in float32: the
+    low*high term is the transpose of high*low."""
+    p_hl = _gemm16(x.high, x.low, counter)
+    return _gemm16(x.high, x.high, counter) + p_hl + p_hl.T
 
 
 def _mixed_symmetrized_pair(
@@ -161,98 +216,82 @@ class MixedPipelineResult:
 PIPELINE_MODES = ("perturbation", "susceptibility")
 
 
-def _low_precision_expand(h0, seed, n_occ, bounds, use_split: bool) -> MixedPipelineResult:
-    """Shared float32-iterate expansion loop.
+class _F32Ops:
+    """Single-precision `_expand` kernel: float32 iterates, one plain float32
+    multiply per square and per symmetrized pair (2 per step)."""
 
-    With `use_split` every product goes through the two-term binary16
-    representation (2 elementary products per iterate-square, 3 per
-    symmetrized pair: 5 per step); otherwise products are plain float32
-    multiplies (1 + 1 per step), the pure single-precision reference.
+    name = "low-precision expansion"
+    stall_hint = "small gaps are often unresolvable at reduced precision"
+
+    def __init__(self, h0: np.ndarray):
+        self.n = h0.shape[0]
+        self.counter = MultCounter()
+
+    def seed(self, alpha: float, beta: float, h0: np.ndarray) -> np.ndarray:
+        return (alpha * np.eye(self.n) + beta * h0).astype(np.float32)
+
+    def scale(self, c: float, x: np.ndarray) -> np.ndarray:
+        return (c * x).astype(np.float32)
+
+    def trace(self, x: np.ndarray) -> float:
+        # branch decisions and stall tests run in float64
+        return float(np.trace(x.astype(np.float64)))
+
+    def square(self, x: np.ndarray) -> np.ndarray:
+        self.counter.add()
+        return x @ x
+
+    def combine(self, sigma: int, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        return x2 if sigma == 1 else (2.0 * x - x2).astype(np.float32)
+
+    def pair_update(self, sigma: int, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        pair = self._pair(y, x)
+        return pair if sigma == 1 else (2.0 * y - pair).astype(np.float32)
+
+    def _pair(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        self.counter.add()
+        p = y @ x
+        return p + p.T
+
+
+class _Split16Ops(_F32Ops):
+    """Split16 `_expand` kernel: every product goes through the two-term
+    binary16 representation (2 elementary products per square, 3 per
+    symmetrized pair: 5 per step).
+
+    `_expand` squares each iterate X and then pairs it with Y, so the split
+    of X is kept from the square and reused by the pair update: each
+    iterate is split once per step.
     """
-    n = h0.shape[0]
+
+    def __init__(self, h0: np.ndarray):
+        super().__init__(h0)
+        self._last_split: tuple[np.ndarray | None, SplitMatrix | None] = (None, None)
+
+    def _split_x(self, x: np.ndarray) -> SplitMatrix:
+        if self._last_split[0] is not x:
+            self._last_split = (x, split(x))
+        return self._last_split[1]
+
+    def square(self, x: np.ndarray) -> np.ndarray:
+        return _mixed_square(self._split_x(x), self.counter)
+
+    def _pair(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return _mixed_symmetrized_pair(split(y), self._split_x(x), self.counter)
+
+
+def _pipeline(kernel, h0, seed, n_occ, mode, bounds) -> MixedPipelineResult:
+    if mode not in PIPELINE_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {PIPELINE_MODES}")
     if seed.shape != h0.shape:
         raise ValueError(f"dimension mismatch: h0 {h0.shape} vs seed {seed.shape}")
-    if not 1 <= n_occ <= n - 1:
-        raise ValueError(f"n_occ must lie in [1, {n - 1}], got {n_occ}")
-    if bounds is None:
-        bounds = gershgorin_bounds(h0)
-    alpha, beta = _init_scalars(bounds)
-
-    counter = MultCounter()
-    x32 = (alpha * np.eye(n) + beta * h0).astype(np.float32)
-    y32 = (beta * seed).astype(np.float32)
-    floor = IDEMPOTENCY_FLOOR * n
-
-    sigmas: list[int] = []
-    log: list[float] = []
-
-    def square(m32: np.ndarray) -> np.ndarray:
-        if use_split:
-            sp = split(m32)
-            return mixed_gemm(sp, sp, symmetric_same=True, counter=counter).astype(np.float32)
-        counter.add()
-        return m32 @ m32
-
-    def step(sigma: int, x2_32: np.ndarray):
-        nonlocal x32, y32
-        if use_split:
-            pair = _mixed_symmetrized_pair(split(y32), split(x32), counter).astype(np.float32)
-        else:
-            counter.add()
-            p = y32 @ x32
-            pair = p + p.T
-        y32 = pair if sigma == 1 else (2.0 * y32 - pair).astype(np.float32)
-        x32 = x2_32 if sigma == 1 else (2.0 * x32 - x2_32).astype(np.float32)
-        sigmas.append(sigma)
-
-    converged = False
-    x2_32 = None
-    for it in range(MAX_ITERATIONS + 1):
-        x2_32 = square(x32)
-        tr_x = float(np.trace(x32.astype(np.float64)))
-        tr_x2 = float(np.trace(x2_32.astype(np.float64)))
-        err = abs(tr_x2 - tr_x)
-        log.append(err)
-        if err <= floor or (len(log) >= 3 and log[-1] >= log[-2] >= log[-3]):
-            converged = True
-            break
-        if it == MAX_ITERATIONS:
-            break
-        d_plus = abs(tr_x2 - n_occ)
-        d_minus = abs(2.0 * tr_x - tr_x2 - n_occ)
-        step(1 if d_plus <= d_minus else -1, x2_32)
-
-    if not converged:
-        raise ConvergenceError(
-            f"low-precision expansion did not converge within {MAX_ITERATIONS} "
-            f"iterations (final idempotency error {log[-1]:.3e}); small gaps "
-            "are often unresolvable at reduced precision",
-            log,
-        )
-
-    # Same derivative-flattening tail as the double-precision engine; the
-    # first tail step consumes the square from the detection pass.
-    step(1, x2_32)
-    x2_32 = square(x32)
-    log.append(
-        abs(float(np.trace(x2_32.astype(np.float64))) - float(np.trace(x32.astype(np.float64))))
-    )
-    step(-1, x2_32)
-
-    trace = Sp2Trace(
-        alpha=alpha,
-        beta_spec=beta,
-        sigmas=tuple(sigmas),
-        m_steps=len(sigmas),
-        idempotency_log=tuple(log),
-        bounds=bounds,
-        n_occ=n_occ,
-    )
+    ops = kernel(h0)
+    x, y, trace, _ = _expand(h0, n_occ, bounds, y_seed=seed, ops=ops)
     return MixedPipelineResult(
-        d0=x32.astype(np.float64),
-        response=y32.astype(np.float64),
+        d0=x.astype(np.float64),
+        response=y.astype(np.float64),
         trace=trace,
-        mult_count=counter.count,
+        mult_count=ops.counter.count,
     )
 
 
@@ -272,9 +311,7 @@ def mixed_response_pipeline(
     recursion step. `mode` only labels the seed: "perturbation" treats it as
     a Hamiltonian perturbation, "susceptibility" as an observable.
     """
-    if mode not in PIPELINE_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {PIPELINE_MODES}")
-    return _low_precision_expand(h0, seed, n_occ, bounds, use_split=True)
+    return _pipeline(_Split16Ops, h0, seed, n_occ, mode, bounds)
 
 
 def single_precision_pipeline(
@@ -286,6 +323,4 @@ def single_precision_pipeline(
 ) -> MixedPipelineResult:
     """The same expansion with plain float32 products: the pure
     single-precision reference the split representation is judged against."""
-    if mode not in PIPELINE_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {PIPELINE_MODES}")
-    return _low_precision_expand(h0, seed, n_occ, bounds, use_split=False)
+    return _pipeline(_F32Ops, h0, seed, n_occ, mode, bounds)

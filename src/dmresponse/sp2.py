@@ -79,8 +79,17 @@ def _init_scalars(bounds: SpectralBounds) -> tuple[float, float]:
     return bounds.eps_max / width, -1.0 / width
 
 
+# Wording of the non-convergence error; low-precision kernels override it.
+_GAP_HINT = (
+    "this usually signals a vanishing gap at the requested occupation or bad spectral bounds"
+)
+
+
 class _DenseOps:
     """Dense kernel: plain float64 matrix algebra."""
+
+    name = "SP2"
+    stall_hint = _GAP_HINT
 
     def __init__(self, h0: np.ndarray):
         self.n = h0.shape[0]
@@ -124,6 +133,9 @@ class _SparseOps:
     symmetric without any re-symmetrization.
     """
 
+    name = "SP2"
+    stall_hint = _GAP_HINT
+
     def __init__(self, h0: SparseMatrix):
         self.n = h0.dim
         self.tau = h0.tau
@@ -161,8 +173,11 @@ def _ops_for(h0):
     return _SparseOps(h0) if isinstance(h0, SparseMatrix) else _DenseOps(h0)
 
 
-def _expand(h0, n_occ, bounds, y_seed=None, replay_sigmas=None, store_x=False):
+def _expand(h0, n_occ, bounds, y_seed=None, replay_sigmas=None, store_x=False, ops=None):
     """Run the SP2 recursion, optionally coupled to a derivative iterate.
+
+    `ops` is the arithmetic kernel; it defaults to the dense or sparse one
+    matching h0 (the low-precision kernels live in `mixedprec`).
 
     Returns (x_final, y_final, trace, stored_x). With `replay_sigmas` the
     branch sequence is consumed verbatim for exactly that many steps instead
@@ -175,7 +190,7 @@ def _expand(h0, n_occ, bounds, y_seed=None, replay_sigmas=None, store_x=False):
     first iterate is already idempotent would return the raw seed as the
     derivative, which is wrong for any direction commuting with h0.
     """
-    ops = _ops_for(h0)
+    ops = ops or _ops_for(h0)
     n = ops.n
     if isinstance(h0, SparseMatrix):
         check_symmetric(h0, "h0")
@@ -231,9 +246,8 @@ def _expand(h0, n_occ, bounds, y_seed=None, replay_sigmas=None, store_x=False):
 
         if not converged:
             raise ConvergenceError(
-                f"SP2 did not converge within {MAX_ITERATIONS} iterations "
-                f"(final idempotency error {log[-1]:.3e}); this usually signals a "
-                "vanishing gap at the requested occupation or bad spectral bounds",
+                f"{ops.name} did not converge within {MAX_ITERATIONS} iterations "
+                f"(final idempotency error {log[-1]:.3e}); {ops.stall_hint}",
                 log,
             )
 

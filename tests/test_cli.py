@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dmresponse import sparse
 from dmresponse.cli import main
 from dmresponse.mmio import write_matrix_market
 from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
@@ -133,6 +134,57 @@ class TestRespond:
             assert code == 0 and rep["results"]["route"] == "sparse"
             reports.append(rep)
         assert reports[0]["results"] == reports[1]["results"]
+
+    @pytest.mark.parametrize("subcommand", ["ground-state", "respond"])
+    def test_tau_coordinate_inputs_stay_sparse(self, tmp_path, monkeypatch, subcommand):
+        # coordinate --h0/--obs/--h1 files are re-thresholded in sparse
+        # storage, never densified and re-sparsified, and the report equals
+        # the one built from the same matrices in dense array files
+        n = 60
+        rng = np.random.default_rng(5)
+        idx = np.arange(n - 3)
+        h = chain_hamiltonian(n, 1.0)
+        a = np.diag(rng.uniform(-1.0, 1.0, n))
+        h1 = np.zeros((n, n))
+        h1[idx, idx + 1] = h1[idx + 1, idx] = rng.uniform(-1.0, 1.0, n - 3)
+        for m in (h, a, h1):
+            m[idx, idx + 3] = m[idx + 3, idx] = 1e-8  # below tau: dropped either way
+        for tag, m in (("h0", h), ("obs", a), ("h1", h1)):
+            write_matrix_market(tmp_path / f"{tag}_coo.mtx", sparsify(m, 0.0))
+            write_matrix_market(tmp_path / f"{tag}_arr.mtx", m)
+        calls = []
+        real_sparsify = sparse.sparsify
+
+        def spy(x, tau):
+            calls.append(type(x).__name__)
+            return real_sparsify(x, tau)
+
+        monkeypatch.setattr(sparse, "sparsify", spy)
+        reports = []
+        for kind in ("coo", "arr"):
+            calls.clear()
+            args = [subcommand, "--tau", "1e-6"]
+            for tag in ("h0", "obs", "h1"):
+                args += [f"--{tag}", str(tmp_path / f"{tag}_{kind}.mtx")]
+            code, rep = run_cli(args, tmp_path, kind + ".json")
+            assert code == 0 and rep["results"]["route"] == "sparse"
+            reports.append(rep)
+            if kind == "coo":
+                assert calls == []
+        assert calls and set(calls) == {"ndarray"}
+        assert reports[0]["results"] == reports[1]["results"]
+
+    def test_backward_stored_floats_only_on_dense_route(self, tmp_path):
+        # sparse iterates store nnz entries, not N^2, so the sparse route
+        # reports no N^2 count
+        args = ["respond", "--kind", "chain", "--size", "40", "--mode", "suscept-bwd"]
+        _, dense = run_cli(args, tmp_path, "dense.json")
+        _, sparse_rep = run_cli(args + ["--tau", "1e-6"], tmp_path, "sparse.json")
+        assert dense["results"]["route"] == "dense"
+        steps = dense["results"]["expansion"]["m_steps"]
+        assert dense["results"]["backward_stored_floats"] == steps * 40 * 40
+        assert sparse_rep["results"]["route"] == "sparse"
+        assert "backward_stored_floats" not in sparse_rep["results"]
 
     def test_determinism_modulo_timing(self, tmp_path):
         args = [

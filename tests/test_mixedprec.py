@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from dmresponse.linalg import trace_product
+from dmresponse import mixedprec, sp2
+from dmresponse.exceptions import ConvergenceError
+from dmresponse.linalg import gershgorin_bounds, trace_product
 from dmresponse.mixedprec import (
     BINARY16_MAX,
     MultCounter,
     SplitMatrix,
+    _round16,
     mixed_gemm,
     mixed_response_pipeline,
     round_binary16,
@@ -57,6 +63,67 @@ class TestRoundBinary16:
         assert np.array_equal(ref, ours)
 
 
+def float16_cast(x) -> np.ndarray:
+    return np.float16(x).astype(np.float32)
+
+
+# float32 values below this round to at most 65504; 65520 itself is the tie
+# that rounds up to 65536, which binary16 cannot hold
+LARGEST_TO_65504 = np.nextafter(np.float32(65520.0), np.float32(0.0))
+
+
+def float32_sweep() -> np.ndarray:
+    """A strided sweep of float32 bit patterns plus every finite binary16
+    value, its float32 neighbours, the exact ties between neighbouring
+    binary16 values and the float32 neighbours of those ties."""
+    strided = np.arange(0, 2**32, 4099, dtype=np.uint64).astype(np.uint32).view(np.float32)
+    grid = np.arange(2**16, dtype=np.uint16).view(np.float16)
+    grid = np.unique(grid[np.isfinite(grid)].astype(np.float32))
+    ties = (grid[:-1].astype(np.float64) + grid[1:].astype(np.float64)) / 2.0
+    ties = ties.astype(np.float32)
+    assert np.array_equal(ties.astype(np.float64) * 2.0, grid[:-1].astype(np.float64) + grid[1:])
+    special = np.array(
+        [0.0, -0.0, 65504.0, -65504.0, LARGEST_TO_65504, -LARGEST_TO_65504], dtype=np.float32
+    )
+    parts = [strided, special]
+    for v in (grid, ties):
+        parts += [v, np.nextafter(v, np.float32(np.inf)), np.nextafter(v, np.float32(-np.inf))]
+    xs = np.concatenate(parts)
+    return xs[np.abs(xs) < 65520.0]
+
+
+class TestRoundKernel:
+    def test_matches_float16_cast_on_float32_bit_patterns(self):
+        xs = float32_sweep()
+        assert np.any((xs != 0) & (np.abs(xs) < 2.0**-14))  # binary16 subnormals
+        assert np.any(xs == 2.0**-25) and np.any(xs == 2.0**-14 - 2.0**-25)  # ties
+        assert np.any(xs == 65504.0) and np.any(xs == LARGEST_TO_65504)
+        zeros = xs[xs == 0]
+        assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
+        assert float16_cast(LARGEST_TO_65504) == 65504.0
+        ours = _round16(xs.astype(np.float64))
+        assert ours.dtype == np.float32
+        assert np.array_equal(ours.view(np.uint32), float16_cast(xs).view(np.uint32))
+
+    @given(
+        arrays(
+            np.float64,
+            st.integers(1, 64),
+            elements=st.one_of(
+                st.floats(-65519.99, 65519.99, allow_nan=False),
+                st.floats(-(2.0**-13), 2.0**-13, allow_nan=False),
+            ),
+        )
+    )
+    @settings(deadline=None)
+    def test_matches_float16_cast_on_float64(self, x):
+        ours = _round16(x)
+        assert np.array_equal(ours.view(np.uint32), float16_cast(x).view(np.uint32))
+        clipped = np.clip(x, -BINARY16_MAX, BINARY16_MAX)
+        ref = binary16_reference_bits(clipped).view(np.float16).astype(np.float32)
+        assert np.array_equal(_round16(clipped).view(np.uint32), ref.view(np.uint32))
+
+
 class TestSplit:
     def test_exact_entries_have_zero_low(self):
         x = np.array([[0.0, 0.5], [0.5, -1.0]])
@@ -92,6 +159,17 @@ class TestSplit:
         off_grid = np.full((2, 2), 1.0 + 2.0**-13, dtype=np.float32)
         with pytest.raises(ValueError, match="off the binary16 grid"):
             SplitMatrix(high=off_grid, low=good)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(65536.0, "off the binary16 grid"), (np.nan, "off the binary16 grid"), (np.inf, "non-finite")],
+    )
+    def test_split_matrix_rejects_values_outside_binary16(self, value, message):
+        # 65536 has a short float32 significand but lies beyond binary16's range
+        good = np.zeros((2, 2), dtype=np.float32)
+        bad = np.full((2, 2), value, dtype=np.float32)
+        with pytest.raises(ValueError, match=message):
+            SplitMatrix(high=good, low=bad)
 
 
 class TestMixedGemm:
@@ -177,3 +255,115 @@ class TestMixedPipeline:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown mode"):
             mixed_response_pipeline(np.eye(4), np.eye(4), 2, mode="sideways")
+
+
+def _reference_pipeline(h0, seed, n_occ, use_split):
+    """The low-precision expansion written out with only np.float16 casts
+    for the binary16 rounding; returns (d0, response, sigmas, log, count)."""
+
+    def round16(m):
+        assert np.all(np.abs(m) <= BINARY16_MAX)
+        return float16_cast(m)
+
+    def split16(m):
+        m = m.astype(np.float64)
+        high = round16(m)
+        return high, round16(m - high.astype(np.float64))
+
+    count = 0
+
+    def square(m):
+        nonlocal count
+        if not use_split:
+            count += 1
+            return m @ m
+        hi, lo = split16(m)
+        count += 2
+        p_hl = hi @ lo
+        return hi @ hi + p_hl + p_hl.T
+
+    def pair(y, x):
+        nonlocal count
+        if not use_split:
+            count += 1
+            p = y @ x
+            return p + p.T
+        (yh, yl), (xh, xl) = split16(y), split16(x)
+        count += 3
+        q = yh @ xh + yh @ xl + xh @ yl
+        return q + q.T
+
+    n = h0.shape[0]
+    bounds = gershgorin_bounds(h0)
+    alpha, beta = bounds.eps_max / bounds.width, -1.0 / bounds.width
+    x = (alpha * np.eye(n) + beta * h0).astype(np.float32)
+    y = (beta * seed).astype(np.float32)
+    sigmas, log = [], []
+
+    def tr(m):
+        return float(np.trace(m.astype(np.float64)))
+
+    def step(sigma, x, y, x2):
+        s = pair(y, x)
+        sigmas.append(sigma)
+        if sigma == 1:
+            return x2, s
+        return (2.0 * x - x2).astype(np.float32), (2.0 * y - s).astype(np.float32)
+
+    while True:
+        x2 = square(x)
+        log.append(abs(tr(x2) - tr(x)))
+        if log[-1] <= sp2.IDEMPOTENCY_FLOOR * n or (len(log) >= 3 and log[-1] >= log[-2] >= log[-3]):
+            break
+        d_plus = abs(tr(x2) - n_occ)
+        d_minus = abs(2.0 * tr(x) - tr(x2) - n_occ)
+        x, y = step(1 if d_plus <= d_minus else -1, x, y, x2)
+    x, y = step(1, x, y, x2)
+    x2 = square(x)
+    log.append(abs(tr(x2) - tr(x)))
+    x, y = step(-1, x, y, x2)
+    return x.astype(np.float64), y.astype(np.float64), tuple(sigmas), tuple(log), count
+
+
+class TestPipelinesMatchFloat16Reference:
+    @pytest.mark.parametrize("mode", ["perturbation", "susceptibility"])
+    @pytest.mark.parametrize(
+        "pipeline, use_split",
+        [(mixed_response_pipeline, True), (single_precision_pipeline, False)],
+    )
+    def test_bit_identical_at_n32(self, rng, pipeline, use_split, mode):
+        h0 = gapped_random_hamiltonian(32, 1.6, 16, seed=321)
+        seed = random_symmetric(rng, 32, scale=0.5)
+        res = pipeline(h0, seed, 16, mode=mode)
+        d0, resp, sigmas, log, count = _reference_pipeline(h0, seed, 16, use_split)
+        assert res.d0.tobytes() == d0.tobytes()
+        assert res.response.tobytes() == resp.tobytes()
+        assert res.trace.sigmas == sigmas
+        assert res.trace.idempotency_log == log
+        assert res.mult_count == count == (5 if use_split else 2) * res.trace.m_steps
+
+
+def test_each_iterate_is_split_once_per_step(monkeypatch):
+    calls = []
+    real_split = mixedprec.split
+
+    def counting_split(x):
+        calls.append(x)
+        return real_split(x)
+
+    monkeypatch.setattr(mixedprec, "split", counting_split)
+    h0 = gapped_random_hamiltonian(32, 1.6, 16, seed=95)
+    a = gapped_random_hamiltonian(32, 1.0, 16, seed=96)
+    res = mixed_response_pipeline(h0, a, 16)
+    # one split of X (shared by the square and the pair update) and one of Y
+    assert len(calls) == 2 * res.trace.m_steps
+    assert len({id(x) for x in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("pipeline", [mixed_response_pipeline, single_precision_pipeline])
+def test_non_convergence_names_reduced_precision(monkeypatch, pipeline):
+    monkeypatch.setattr(sp2, "MAX_ITERATIONS", 2)
+    h0 = gapped_random_hamiltonian(32, 1.6, 16, seed=95)
+    with pytest.raises(ConvergenceError, match="low-precision expansion did not converge") as err:
+        pipeline(h0, np.eye(32), 16)
+    assert "small gaps are often unresolvable at reduced precision" in str(err.value)
