@@ -351,14 +351,15 @@ def _run_respond(cfg: RunConfig) -> dict:
         if cfg.mode == "suscept-bwd":
             raise UsageError("the finite-temperature route has no backward expansion")
         h_work, a_work, h1_work = _to_orthogonal(s, h0, a, h1)
-        d, mu0 = thermal.fermi_matrix_and_mu(h_work, cfg.beta_t, float(n_occ))
+        # one eigenbasis serves D, mu0 and both responses
+        d, eig, mu0 = thermal._fermi_eigenbasis(h_work, cfg.beta_t, float(n_occ))
         values = {}
         mu1 = None
         if cfg.mode in ("perturb", "both"):
-            d1, mu1 = thermal.canonical_dm_response(h_work, h1_work, cfg.beta_t, float(n_occ))
+            d1, mu1 = thermal.trace_neutral_derivative(eig, h1_work, cfg.beta_t, mu0)
             values["a1_direct"] = linalg.trace_product(a_work, d1)
         if cfg.mode in ("suscept-fwd", "both"):
-            chi, mu1 = thermal.canonical_susceptibility(h_work, a_work, cfg.beta_t, float(n_occ))
+            chi, mu1 = thermal.trace_neutral_derivative(eig, a_work, cfg.beta_t, mu0)
             values["a1_dual_forward"] = linalg.trace_product(chi, h1_work)
         results.update(
             route="thermal",

@@ -128,7 +128,12 @@ def split(x: np.ndarray) -> SplitMatrix:
     x64 = np.asarray(x, dtype=np.float64)
     high = _round_array16(x64)
     low = _round_array16(x64 - high)
-    return SplitMatrix(high=high, low=low)
+    # Both parts were just rounded onto the binary16 grid inside its range,
+    # so the constructor's checks (one more rounding per part) are skipped.
+    out = object.__new__(SplitMatrix)
+    object.__setattr__(out, "high", high)
+    object.__setattr__(out, "low", low)
+    return out
 
 
 @dataclass
@@ -222,6 +227,9 @@ class _F32Ops:
 
     name = "low-precision expansion"
     stall_hint = "small gaps are often unresolvable at reduced precision"
+    # sgemm already uses every core, and _Split16Ops shares the split of X
+    # between square and pair_update (see sp2._SparseOps).
+    overlap_pair_update = False
 
     def __init__(self, h0: np.ndarray):
         self.n = h0.shape[0]

@@ -14,6 +14,10 @@ fall below tau, and survivors store the symmetrized value.
 
 The arithmetic kernel is scipy's CSR matrix product, which is deterministic
 (fixed row order, fixed reduction order) so repeated runs are bit-identical.
+It runs on one core and releases the GIL, so the SP2 engine runs the two
+products of each derivative step, X@X and Y@X, on two threads (see `sp2`).
+`threshold` keeps what both lanes hold small: it builds no float
+temporaries of nnz entries and returns arrays sized to the kept entries.
 """
 
 from __future__ import annotations
@@ -67,15 +71,24 @@ def threshold(raw, tau: float) -> SparseMatrix:
     """Canonicalize an exactly symmetric raw result and drop |x_ij| < tau.
 
     On a symmetric matrix this equals the pairwise rule of `sparsify`.
-    Explicit zeros are removed. The arrays of a CSR `raw` may be reused and
-    modified in place, so pass a fresh result or a copy.
+    Explicit zeros are removed; NaN entries are kept. The arrays of a CSR
+    `raw` may be reused and modified in place, so pass a fresh result or a
+    copy. The result's arrays hold exactly its nnz entries.
     """
     if tau < 0:
         raise ValueError("drop tolerance tau must be non-negative")
     m = _canonical(raw)
     if tau > 0.0:
-        m.data[np.abs(m.data) < tau] = 0.0
+        d = m.data
+        # |d| < tau as two sign tests: boolean temporaries only
+        drop = d < tau
+        drop &= d > -tau
+        d[drop] = 0.0
     m.eliminate_zeros()
+    # eliminate_zeros compacts in place and may leave views on raw buffers
+    # up to twice the size; copy so that a kept iterate holds only its nnz.
+    m.data = m.data.copy()
+    m.indices = m.indices.copy()
     return SparseMatrix(m, tau)
 
 

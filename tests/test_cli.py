@@ -234,6 +234,27 @@ class TestRespond:
         )
         assert code == 0 and rep["results"]["route"] == "thermal"
 
+    def test_thermal_route_decomposes_once(self, tmp_path, monkeypatch):
+        from dmresponse import linalg, oracles, scf, thermal
+
+        calls = []
+        real = linalg.sym_eigendecompose
+
+        def counting(x):
+            calls.append(x.shape)
+            return real(x)
+
+        for module in (linalg, thermal, scf, oracles):
+            monkeypatch.setattr(module, "sym_eigendecompose", counting)
+        args = ["respond", "--kind", "gapped_random", "--size", "16", "--beta-t", "15"]
+        code, rep = run_cli(args + ["--mode", "both"], tmp_path)
+        assert code == 0 and rep["results"]["route"] == "thermal"
+        assert len(calls) == 1
+        # each single-route mode gives the value the combined run gave
+        for mode, key in (("perturb", "a1_direct"), ("suscept-fwd", "a1_dual_forward")):
+            _, single = run_cli(args + ["--mode", mode], tmp_path, f"{mode}.json")
+            assert single["results"]["values"][key] == rep["results"]["values"][key]
+
     def test_split16_reports_mult_count(self, tmp_path):
         code, rep = run_cli(
             [

@@ -154,6 +154,24 @@ class TestSplit:
         with pytest.raises(OverflowError):
             split(np.array([[1e6]]))
 
+    def test_split_rounds_each_part_once(self, monkeypatch, rng):
+        # split() puts both parts on the grid itself; it must not pay for the
+        # constructor's re-check on top
+        calls = []
+        real_round16 = mixedprec._round16
+
+        def counting_round16(x):
+            calls.append(x.shape)
+            return real_round16(x)
+
+        monkeypatch.setattr(mixedprec, "_round16", counting_round16)
+        x = random_symmetric(rng, 16)
+        sm = split(x)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        checked = SplitMatrix(high=sm.high, low=sm.low)
+        assert np.array_equal(checked.high, sm.high) and np.array_equal(checked.low, sm.low)
+
     def test_split_matrix_validates_grid(self):
         good = np.zeros((2, 2), dtype=np.float32)
         off_grid = np.full((2, 2), 1.0 + 2.0**-13, dtype=np.float32)

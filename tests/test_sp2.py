@@ -1,9 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from dmresponse import sp2
 from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import SpectralBounds, sym_eigendecompose, trace_product
+from dmresponse.mixedprec import mixed_response_pipeline, single_precision_pipeline
 from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
 from dmresponse.response import dm_perturbation_forward, susceptibility_backward
 from dmresponse.sp2 import sp2_ground_state
@@ -171,3 +175,127 @@ class TestSparseGroundState:
             dm_perturbation_forward(h, asym, n // 2)
         with pytest.raises(ValueError, match="a is not exactly symmetric"):
             susceptibility_backward(h, asym, n // 2)
+
+
+class _InlineSparseOps(sp2._SparseOps):
+    """The sparse kernel with both products of a step on the calling thread."""
+
+    overlap_pair_update = False
+
+
+def _sparse_problem(model, n=200, tau=1e-6):
+    h = chain_hamiltonian(n, 1.0) if model == "chain" else gapped_banded(n, 11)
+    return sparsify(h, tau), sparsify(banded_random(n, 2, 12), tau)
+
+
+def _same_bits(a: SparseMatrix, b: SparseMatrix) -> bool:
+    return all(
+        np.array_equal(getattr(a.csr, k), getattr(b.csr, k)) for k in ("indptr", "indices")
+    ) and a.csr.data.tobytes() == b.csr.data.tobytes()
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
+
+
+class TestDerivativeLane:
+    @pytest.mark.parametrize("model", ["chain", "banded"])
+    def test_overlapped_equals_inline(self, model):
+        # frequent thread switches shuffle how the two lanes interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._check_overlapped_equals_inline(model)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _check_overlapped_equals_inline(model):
+        hs, h1 = _sparse_problem(model)
+        n_occ = hs.dim // 2
+        x, y, trace, _ = sp2._expand(hs, n_occ, None, y_seed=h1)
+        xi, yi, trace_i, _ = sp2._expand(hs, n_occ, None, y_seed=h1, ops=_InlineSparseOps(hs))
+        assert trace == trace_i
+        assert _same_bits(x, xi) and _same_bits(y, yi)
+        replay = dict(y_seed=h1, replay_sigmas=trace.sigmas)
+        xr, yr, trace_r, _ = sp2._expand(hs, n_occ, trace.bounds, **replay)
+        xri, yri, trace_ri, _ = sp2._expand(
+            hs, n_occ, trace.bounds, ops=_InlineSparseOps(hs), **replay
+        )
+        assert trace_r == trace_ri
+        assert _same_bits(xr, xri) and _same_bits(yr, yri)
+        assert _same_bits(yr, y)
+
+    def test_one_worker_one_update_in_flight(self, monkeypatch, thread_starts):
+        hs, h1 = _sparse_problem("chain")
+        lock = threading.Lock()
+        active, peak, threads = [0], [0], set()
+        real_pair_update = sp2._SparseOps.pair_update
+
+        def pair_update(self, sigma, y, x):
+            with lock:
+                active[0] += 1
+                peak[0] = max(peak[0], active[0])
+            threads.add(threading.get_ident())
+            try:
+                return real_pair_update(self, sigma, y, x)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(sp2._SparseOps, "pair_update", pair_update)
+        dm_perturbation_forward(hs, h1, hs.dim // 2)
+        assert len(thread_starts) == 1
+        assert peak[0] == 1
+        # every update ran on the one worker, none on the calling thread
+        assert len(threads) == 1 and threading.get_ident() not in threads
+
+    def test_worker_exception_reaches_caller(self):
+        hs, h1 = _sparse_problem("chain")
+        boom = RuntimeError("pair update failed")
+
+        class FailingOps(sp2._SparseOps):
+            calls = 0
+
+            def pair_update(self, sigma, y, x):
+                self.calls += 1
+                if self.calls == 3:
+                    raise boom
+                return super().pair_update(sigma, y, x)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as exc:
+            sp2._expand(hs, hs.dim // 2, None, y_seed=h1, ops=FailingOps(hs))
+        assert exc.value is boom
+        assert threading.active_count() == before
+
+    def test_no_thread_left_behind(self, monkeypatch):
+        hs, h1 = _sparse_problem("chain")
+        before = threading.active_count()
+        dm_perturbation_forward(hs, h1, hs.dim // 2)
+        assert threading.active_count() == before
+        monkeypatch.setattr(sp2, "MAX_ITERATIONS", 2)
+        with pytest.raises(ConvergenceError):
+            dm_perturbation_forward(hs, h1, hs.dim // 2)
+        assert threading.active_count() == before
+
+    def test_only_sparse_derivative_runs_start_a_thread(self, thread_starts):
+        h = gapped_random_hamiltonian(32, 1.6, 16, seed=95)
+        a = gapped_random_hamiltonian(32, 1.0, 16, seed=96)
+        dm_perturbation_forward(h, a, 16)
+        single_precision_pipeline(h, a, 16)
+        mixed_response_pipeline(h, a, 16)
+        hs, _ = _sparse_problem("chain")
+        sp2_ground_state(hs, hs.dim // 2)
+        susceptibility_backward(hs, hs, hs.dim // 2)
+        assert thread_starts == []

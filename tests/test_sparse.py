@@ -56,10 +56,27 @@ class TestSparsify:
 class TestThreshold:
     def test_pure_rethreshold(self, rng):
         z = sparsify(banded_symmetric(rng, 20), 0.0)
+        # NaN is never dropped; -0.0 and +-tau/2 are; +-tau is kept
+        z.csr.data[:6] = [np.nan, -0.0, 0.05, -0.05, 0.1, -0.1]
         out = threshold(z.csr.copy(), 1e-1)
         dense = z.to_dense()
         expect = np.where(np.abs(dense) >= 1e-1, dense, 0.0)
-        assert np.array_equal(out.to_dense(), expect)
+        expect[np.isnan(dense)] = np.nan
+        assert np.array_equal(out.to_dense(), expect, equal_nan=True)
+        assert out.nnz == np.count_nonzero(expect)
+
+    def test_arrays_hold_only_kept_entries(self, rng):
+        # scipy's compaction leaves views on the raw buffers; kept iterates
+        # must not carry that spare capacity
+        x = sparsify(banded_symmetric(rng, 200, band=8), 0.0)
+        raw = x.csr @ x.csr
+        n_raw = raw.nnz
+        # keep about 70%: more than half, where scipy would keep the view
+        out = threshold(raw, float(np.quantile(np.abs(raw.data), 0.3)))
+        assert n_raw // 2 < out.nnz < n_raw
+        for a in (out.csr.data, out.csr.indices):
+            assert a.size == out.nnz
+            assert a.base is None or a.base.nbytes == a.nbytes
 
     def test_stored_values_at_least_tau(self, rng):
         x = sparsify(banded_symmetric(rng, 50), 0.0)
