@@ -10,7 +10,6 @@ from .exceptions import ConvergenceError
 from .linalg import (
     EigenDecomposition,
     SpectralBounds,
-    apply_matrix_function,
     congruence_transform,
     gershgorin_bounds,
     inverse_sqrt_factor,
@@ -67,7 +66,6 @@ from .thermal import (
     canonical_susceptibility,
     fermi_function,
     fermi_matrix_and_mu,
-    loewner_directional_derivative,
     loewner_matrix,
     trace_neutral_derivative,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "ConvergenceError",
     "EigenDecomposition",
     "SpectralBounds",
-    "apply_matrix_function",
     "congruence_transform",
     "gershgorin_bounds",
     "inverse_sqrt_factor",
@@ -128,7 +125,6 @@ __all__ = [
     "canonical_susceptibility",
     "fermi_function",
     "fermi_matrix_and_mu",
-    "loewner_directional_derivative",
     "loewner_matrix",
     "trace_neutral_derivative",
 ]

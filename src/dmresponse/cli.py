@@ -6,6 +6,10 @@ benchmark sweep), and writes one JSON report per run. Reports are
 deterministic for a fixed configuration and seed, up to the "timing"
 section.
 
+Every run's flags resolve into exactly one route (scf, thermal, sparse,
+f32, split16, dense or dense_orthogonalized) before any input is read; see
+``_route`` and its two tables.
+
 Exit codes: 0 success, 1 numerical failure (error serialized into the
 report), 2 usage or parse error.
 """
@@ -56,23 +60,125 @@ class RunConfig:
     fd_step: float = 1e-5
 
 
+class UsageError(Exception):
+    """A flag, value or input file the run cannot use; main exits 2."""
+
+
+# ---------------------------------------------------------------------------
+# route resolution
+
+_GENERATED = "benchmark generates its own inputs; drop --h0, --h1 and --obs"
+
+# flags each subcommand refuses whatever the route, with the reason
+REFUSED = {
+    "ground-state": {"h1": "ground-state computes no response; drop --h1"},
+    "respond": {},
+    "audit": {
+        "kernel": "audit has no self-consistent route; drop --kernel",
+        "tau": "audit runs dense routes; drop --tau",
+        "precision": "audit runs in float64; drop --precision",
+        "overlap": "audit runs in an orthonormal basis; drop the overlap",
+    },
+    "benchmark": {
+        "kernel": "benchmark has no self-consistent route; drop --kernel",
+        "beta_t": "benchmark runs at zero temperature; drop --beta-t",
+        "precision": "benchmark runs the float64 sparse route; drop --precision",
+        "h0": _GENERATED,
+        "h1": _GENERATED,
+        "obs": _GENERATED,
+        "overlap": "benchmark runs in an orthonormal basis; drop the overlap",
+        "size": "benchmark takes its dimensions from --sizes; drop --size",
+    },
+}
+
+# flags each route cannot honour, with the reason
+CONFLICTS = {
+    "scf": {
+        "tau": "--kernel cannot be combined with --tau",
+        "precision": "--kernel requires --precision f64",
+    },
+    "thermal": {
+        "tau": "--beta-t cannot be combined with --tau",
+        "precision": "--beta-t requires --precision f64",
+    },
+    "sparse": {
+        "precision": "--tau and --precision f32/split16 are mutually exclusive",
+        "overlap": "--tau cannot be combined with an overlap matrix",
+    },
+    "f32": {"overlap": "low-precision pipelines assume an orthonormal basis"},
+    "split16": {"overlap": "low-precision pipelines assume an orthonormal basis"},
+}
+
+# routes with a backward (stored-iterate) expansion, i.e. respond --mode suscept-bwd
+BACKWARD = {"dense", "dense_orthogonalized", "sparse"}
+
+
+def _given(cfg: RunConfig, flag: str) -> bool:
+    """Whether a flag is set away from its default; a generated overlap_chain
+    counts as an overlap unless an --h0 file replaces the model."""
+    if flag == "overlap" and cfg.kind == "overlap_chain" and not cfg.h0:
+        return True
+    return getattr(cfg, flag) not in (None, "f64")
+
+
+def _route(cfg: RunConfig) -> str:
+    """Resolve a run's flags into the one route that serves it.
+
+    Reads no input. Raises UsageError for an out-of-range value, a flag the
+    subcommand refuses, or a flag the selected route cannot honour.
+    """
+    if cfg.beta_t is not None and not 0.0 < cfg.beta_t < math.inf:
+        raise UsageError(f"--beta-t must be finite and positive, got {cfg.beta_t}")
+    if cfg.tau is not None and not 0.0 <= cfg.tau < math.inf:
+        raise UsageError(f"--tau must be finite and non-negative, got {cfg.tau}")
+    if not 0.0 < cfg.fd_step < math.inf:
+        raise UsageError(f"--fd-step must be finite and positive, got {cfg.fd_step}")
+    for flag, reason in REFUSED[cfg.subcommand].items():
+        if _given(cfg, flag):
+            raise UsageError(reason)
+    if cfg.kernel is not None:
+        route = "scf"
+    elif cfg.beta_t is not None:
+        route = "thermal"
+    elif cfg.tau is not None:
+        route = "sparse"
+    elif cfg.precision != "f64":
+        route = cfg.precision
+    else:
+        route = "dense_orthogonalized" if _given(cfg, "overlap") else "dense"
+    for flag, reason in CONFLICTS.get(route, {}).items():
+        if _given(cfg, flag):
+            raise UsageError(reason)
+    if cfg.subcommand == "respond" and cfg.mode == "suscept-bwd" and route not in BACKWARD:
+        raise UsageError(f"the {route} route has no backward expansion")
+    return route
+
+
 # ---------------------------------------------------------------------------
 # input assembly
+
+
+def _dim(m) -> int:
+    return m.dim if isinstance(m, SparseMatrix) else m.shape[0]
 
 
 def _load_or_generate(cfg: RunConfig):
     """Resolve (h0, s, a, h1) from files and/or the model generator.
 
     Generated runs fill any missing observable/perturbation with seeded
-    random symmetric matrices so a bare model run is self-contained.
-    Coordinate files for h0, the observable and the perturbation stay in
-    sparse storage when --tau is given; otherwise they are densified.
+    random symmetric matrices so a bare model run is self-contained;
+    ground-state takes no perturbation, so its h1 is None. Coordinate files
+    for h0, the observable and the perturbation stay in sparse storage when
+    --tau is given; otherwise they are densified.
     """
     rng = np.random.default_rng(cfg.seed)
     s = None
 
     def load(path):
-        m = read_matrix_market(path)
+        try:
+            m = read_matrix_market(path)
+        except OSError as exc:
+            raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
         return m.to_dense() if isinstance(m, SparseMatrix) and cfg.tau is None else m
 
     if cfg.h0:
@@ -90,23 +196,20 @@ def _load_or_generate(cfg: RunConfig):
         h0, s = models.generate_model(spec)
     else:
         raise UsageError("supply --h0 FILE or --kind MODEL")
-    n = h0.dim if isinstance(h0, SparseMatrix) else h0.shape[0]
-
-    if cfg.overlap:
-        s_loaded = read_matrix_market(cfg.overlap)
-        s = s_loaded.to_dense() if isinstance(s_loaded, SparseMatrix) else s_loaded
+    n = _dim(h0)
 
     def aux(path, tag):
         if path:
             m = load(path)
-            dim = m.dim if isinstance(m, SparseMatrix) else m.shape[0]
-            if dim != n:
-                raise UsageError(f"--{tag} has dimension {dim}, h0 has {n}")
+            if _dim(m) != n:
+                raise UsageError(f"--{tag} has dimension {_dim(m)}, h0 has {n}")
             return m
         return linalg.symmetrize(rng.standard_normal((n, n)))
 
+    if cfg.overlap:
+        s = aux(cfg.overlap, "overlap")
     a = aux(cfg.obs, "obs")
-    h1 = aux(cfg.h1, "h1")
+    h1 = None if cfg.subcommand == "ground-state" else aux(cfg.h1, "h1")
     return h0, s, a, h1
 
 
@@ -117,9 +220,7 @@ def _resolve_n_occ(cfg: RunConfig, n: int) -> int:
     return n_occ
 
 
-def _parse_kernel(spec: str | None, n: int, seed: int):
-    if spec is None:
-        return None
+def _parse_kernel(spec: str, n: int, seed: int):
     name, _, strength = spec.partition(":")
     name = name.lower()
     if name == "zero":
@@ -138,20 +239,8 @@ def _parse_kernel(spec: str | None, n: int, seed: int):
     raise UsageError(f"unknown kernel {name!r}; expected zero, hubbard, or bilinear")
 
 
-class UsageError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # helpers
-
-
-def _trace_product(a, b) -> float:
-    if isinstance(a, SparseMatrix) and isinstance(b, SparseMatrix):
-        return sparse.sp_trace_product(a, b)
-    ad = a.to_dense() if isinstance(a, SparseMatrix) else a
-    bd = b.to_dense() if isinstance(b, SparseMatrix) else b
-    return linalg.trace_product(ad, bd)
 
 
 def _trace_summary(trace: sp2.Sp2Trace) -> dict:
@@ -162,24 +251,6 @@ def _trace_summary(trace: sp2.Sp2Trace) -> dict:
         "idempotency_log_tail": [float(v) for v in tail],
         "spectral_bounds": [trace.bounds.eps_min, trace.bounds.eps_max],
     }
-
-
-def _pairwise_deviations(values: dict[str, float]) -> dict:
-    names = sorted(k for k, v in values.items() if v is not None)
-    out = {}
-    for i, na in enumerate(names):
-        for nb in names[i + 1 :]:
-            out[f"{na}|{nb}"] = abs(values[na] - values[nb])
-    return out
-
-
-def _to_orthogonal(s, *mats):
-    """Congruence-transform operators into the Loewdin-orthonormal basis of
-    the overlap s; returns them unchanged when there is no overlap."""
-    if s is None:
-        return mats
-    z = linalg.inverse_sqrt_factor(s)
-    return tuple(linalg.congruence_transform(m, z, "to_orthogonal") for m in mats)
 
 
 def _as_sparse(m, tau: float) -> SparseMatrix:
@@ -202,272 +273,186 @@ def _check_finite(obj, path="report"):
 
 
 # ---------------------------------------------------------------------------
-# pipelines
+# one solver per route; each runs the ground state for ground-state and the
+# requested response routes for respond. h1 is None under ground-state.
 
 
-def _reject(cfg: RunConfig, **forbidden):
-    for flag, reason in forbidden.items():
-        if getattr(cfg, flag) not in (None, "f64"):
-            raise UsageError(reason)
+def _wants(cfg: RunConfig, mode: str) -> bool:
+    return cfg.mode in (mode, "both")
 
 
-def _run_ground_state(cfg: RunConfig) -> dict:
-    h0, s, a, _ = _load_or_generate(cfg)
-    n = h0.dim if isinstance(h0, SparseMatrix) else h0.shape[0]
-    n_occ = _resolve_n_occ(cfg, n)
-    results: dict = {"dim": n, "n_occ": n_occ}
-
-    if cfg.kernel is not None:
-        _reject(cfg, tau="--kernel cannot be combined with --tau", precision="--kernel requires --precision f64")
-        kernel = _parse_kernel(cfg.kernel, n, cfg.seed)
-        cfg_scf = scf.ScfConfig(beta_t=cfg.beta_t)
-        state = scf.scf_ground_state(h0, s, kernel, n_occ, cfg_scf)
-        results["route"] = "scf"
-        results["mu0"] = state.mu0
-        results["scf_iterations"] = len(state.residuals)
-        results["scf_final_residual"] = state.residuals[-1]
-        results["trace_d0"] = float(np.trace(state.d0_perp))
-        results["a0"] = _trace_product(a, state.d0)
-        if state.sp2_trace is not None:
-            results["expansion"] = _trace_summary(state.sp2_trace)
-        return results
-
-    if cfg.beta_t is not None:
-        _reject(cfg, tau="--beta-t cannot be combined with --tau", precision="--beta-t requires --precision f64")
-        h_work, a_work = _to_orthogonal(s, h0, a)
-        d, mu0 = thermal.fermi_matrix_and_mu(h_work, cfg.beta_t, float(n_occ))
-        results["route"] = "thermal"
-        results["mu0"] = mu0
-        results["trace_d0"] = float(np.trace(d))
-        results["a0"] = _trace_product(a_work, d)
-        return results
-
-    if cfg.tau is not None:
-        _reject(cfg, precision="--tau requires --precision f64")
-        if s is not None:
-            raise UsageError("--tau cannot be combined with an overlap matrix")
-        hs = _as_sparse(h0, cfg.tau)
-        d0, trace = sp2.sp2_ground_state(hs, n_occ)
-        results["route"] = "sparse"
-        results["tau"] = cfg.tau
-        results["nnz_d0"] = d0.nnz
-        results["trace_d0"] = d0.trace()
-        results["a0"] = _trace_product(_as_sparse(a, 0.0), d0)
-        results["expansion"] = _trace_summary(trace)
-        return results
-
-    if cfg.precision in ("f32", "split16"):
-        if s is not None:
-            raise UsageError("low-precision pipelines assume an orthonormal basis")
-        pipeline = (
-            mixedprec.mixed_response_pipeline
-            if cfg.precision == "split16"
-            else mixedprec.single_precision_pipeline
-        )
-        res = pipeline(h0, a, n_occ, mode="susceptibility")
-        results["route"] = cfg.precision
-        results["trace_d0"] = float(np.trace(res.d0))
-        results["a0"] = _trace_product(a, res.d0)
-        results["mult_count"] = res.mult_count
-        results["expansion"] = _trace_summary(res.trace)
-        return results
-
-    h_work, a_work = _to_orthogonal(s, h0, a)
-    d0, trace = sp2.sp2_ground_state(h_work, n_occ)
-    results["route"] = "dense" if s is None else "dense_orthogonalized"
-    results["trace_d0"] = float(np.trace(d0))
-    results["a0"] = _trace_product(a_work, d0)
-    results["expansion"] = _trace_summary(trace)
-    results["idempotency_fro"] = float(np.linalg.norm(d0 @ d0 - d0))
-    return results
-
-
-def _respond_dense(h0, a, h1, n_occ, mode) -> dict:
-    values: dict[str, float | None] = {}
-    out: dict = {}
-    trace = None
-    d0 = None
-    if mode in ("perturb", "both"):
-        d0, d1, trace = response.dm_perturbation_forward(h0, h1, n_occ)
-        values["a1_direct"] = _trace_product(a, d1)
-    if mode in ("suscept-fwd", "both"):
-        d0, chi, trace = response.susceptibility_forward(h0, a, n_occ, trace=trace)
-        values["a1_dual_forward"] = _trace_product(chi, h1)
-    if mode in ("suscept-bwd", "both"):
-        d0, chi_b, trace_b = response.susceptibility_backward(h0, a, n_occ)
-        values["a1_dual_backward"] = _trace_product(chi_b, h1)
-        if not isinstance(h0, SparseMatrix):
-            # sparse iterates hold only their nnz entries, so no N^2 count
-            out["backward_stored_floats"] = trace_b.m_steps * h0.shape[0] ** 2
-        trace = trace or trace_b
-    out["a0"] = _trace_product(a, d0)
-    out["values"] = {k: v for k, v in values.items()}
-    out["duality_deviations"] = _pairwise_deviations(values)
-    if trace is not None:
-        out["expansion"] = _trace_summary(trace)
+def _solve_scf(cfg, h0, s, a, h1, n_occ) -> dict:
+    kernel = _parse_kernel(cfg.kernel, h0.shape[0], cfg.seed)
+    state = scf.scf_ground_state(h0, s, kernel, n_occ, scf.ScfConfig(beta_t=cfg.beta_t))
+    out = {
+        "a0": linalg.trace_product(a, state.d0),
+        "mu0": state.mu0,
+        "scf_iterations": len(state.residuals),
+    }
+    if state.sp2_trace is not None:
+        out["expansion"] = _trace_summary(state.sp2_trace)
+    if h1 is None:
+        out["scf_final_residual"] = state.residuals[-1]
+        out["trace_d0"] = float(np.trace(state.d0_perp))
+        return out
+    values = {}
+    if _wants(cfg, "perturb"):
+        values["a1_direct"] = linalg.trace_product(a, scf.scf_dm_response(state, h1))
+    if _wants(cfg, "suscept-fwd"):
+        values["a1_dual_forward"] = linalg.trace_product(scf.scf_susceptibility(state, a), h1)
+    out["values"] = values
     return out
 
 
-def _run_respond(cfg: RunConfig) -> dict:
-    h0, s, a, h1 = _load_or_generate(cfg)
-    n = h0.dim if isinstance(h0, SparseMatrix) else h0.shape[0]
-    n_occ = _resolve_n_occ(cfg, n)
-    results: dict = {"dim": n, "n_occ": n_occ, "mode": cfg.mode}
+def _solve_thermal(cfg, h0, s, a, h1, n_occ) -> dict:
+    # one eigenbasis serves D, mu0 and both responses
+    d, eig, mu0 = thermal._fermi_eigenbasis(h0, cfg.beta_t, float(n_occ))
+    out = {"a0": linalg.trace_product(a, d), "mu0": mu0}
+    if h1 is None:
+        out["trace_d0"] = float(np.trace(d))
+        return out
+    values = {}
+    mu1 = None  # the chemical-potential response to h1, so only the H1 route sets it
+    if _wants(cfg, "perturb"):
+        d1, mu1 = thermal.trace_neutral_derivative(eig, h1, cfg.beta_t, mu0)
+        values["a1_direct"] = linalg.trace_product(a, d1)
+    if _wants(cfg, "suscept-fwd"):
+        chi, _ = thermal.trace_neutral_derivative(eig, a, cfg.beta_t, mu0)
+        values["a1_dual_forward"] = linalg.trace_product(chi, h1)
+    out.update(mu1=mu1, values=values)
+    return out
 
-    if cfg.kernel is not None:
-        if cfg.tau is not None:
-            raise UsageError("--kernel cannot be combined with --tau")
-        if cfg.precision != "f64":
-            raise UsageError("--kernel requires --precision f64")
-        if cfg.mode == "suscept-bwd":
-            raise UsageError("the self-consistent route has no backward expansion")
-        kernel = _parse_kernel(cfg.kernel, n, cfg.seed)
-        cfg_scf = scf.ScfConfig(beta_t=cfg.beta_t)
-        state = scf.scf_ground_state(h0, s, kernel, n_occ, cfg_scf)
-        values: dict[str, float] = {}
-        if cfg.mode in ("perturb", "both"):
-            d1 = scf.scf_dm_response(state, h1)
-            values["a1_direct"] = linalg.trace_product(a, d1)
-        if cfg.mode in ("suscept-fwd", "both"):
-            chi = scf.scf_susceptibility(state, a)
-            values["a1_dual_forward"] = linalg.trace_product(chi, h1)
-        results.update(
-            route="scf",
-            a0=linalg.trace_product(a, state.d0),
-            mu0=state.mu0,
-            scf_iterations=len(state.residuals),
-            values=values,
-            duality_deviations=_pairwise_deviations(values),
-        )
-        if state.sp2_trace is not None:
-            results["expansion"] = _trace_summary(state.sp2_trace)
-        return results
 
-    if cfg.beta_t is not None:
-        if cfg.tau is not None:
-            raise UsageError("--beta-t cannot be combined with --tau")
-        if cfg.precision != "f64":
-            raise UsageError("--beta-t requires --precision f64")
-        if cfg.mode == "suscept-bwd":
-            raise UsageError("the finite-temperature route has no backward expansion")
-        h_work, a_work, h1_work = _to_orthogonal(s, h0, a, h1)
-        # one eigenbasis serves D, mu0 and both responses
-        d, eig, mu0 = thermal._fermi_eigenbasis(h_work, cfg.beta_t, float(n_occ))
-        values = {}
-        mu1 = None
-        if cfg.mode in ("perturb", "both"):
-            d1, mu1 = thermal.trace_neutral_derivative(eig, h1_work, cfg.beta_t, mu0)
-            values["a1_direct"] = linalg.trace_product(a_work, d1)
-        if cfg.mode in ("suscept-fwd", "both"):
-            chi, mu1 = thermal.trace_neutral_derivative(eig, a_work, cfg.beta_t, mu0)
-            values["a1_dual_forward"] = linalg.trace_product(chi, h1_work)
-        results.update(
-            route="thermal",
-            a0=linalg.trace_product(a_work, d),
-            mu0=mu0,
-            mu1=mu1,
-            values=values,
-            duality_deviations=_pairwise_deviations(values),
-        )
-        return results
-
+def _solve_sp2(cfg, h0, s, a, h1, n_occ) -> dict:
+    """Dense (orthonormal basis) or thresholded-sparse SP2; every operand of
+    one run is in one storage kind."""
+    out = {}
+    trace_product = linalg.trace_product
     if cfg.tau is not None:
-        if cfg.precision != "f64":
-            raise UsageError("--tau and --precision split16/f32 are mutually exclusive")
-        if s is not None:
-            raise UsageError("--tau cannot be combined with an overlap matrix")
-        hs, a_s, h1_s = (_as_sparse(m, cfg.tau) for m in (h0, a, h1))
-        out = _respond_dense(hs, a_s, h1_s, n_occ, cfg.mode)
-        out["route"] = "sparse"
+        trace_product = sparse.sp_trace_product
         out["tau"] = cfg.tau
-        results.update(out)
-        return results
+        h0 = _as_sparse(h0, cfg.tau)
+        # the ground-state expectation value keeps every entry of A
+        a = _as_sparse(a, cfg.tau if h1 is not None else 0.0)
+        h1 = None if h1 is None else _as_sparse(h1, cfg.tau)
+    if h1 is None:
+        d0, trace = sp2.sp2_ground_state(h0, n_occ)
+        out.update(a0=trace_product(a, d0), expansion=_trace_summary(trace))
+        if cfg.tau is not None:
+            out.update(nnz_d0=d0.nnz, trace_d0=d0.trace())
+        else:
+            out.update(
+                trace_d0=float(np.trace(d0)),
+                idempotency_fro=float(np.linalg.norm(d0 @ d0 - d0)),
+            )
+        return out
+    values = {}
+    trace = None
+    if _wants(cfg, "perturb"):
+        d0, d1, trace = response.dm_perturbation_forward(h0, h1, n_occ)
+        values["a1_direct"] = trace_product(a, d1)
+    if _wants(cfg, "suscept-fwd"):
+        d0, chi, trace = response.susceptibility_forward(h0, a, n_occ, trace=trace)
+        values["a1_dual_forward"] = trace_product(chi, h1)
+    if _wants(cfg, "suscept-bwd"):
+        d0, chi_b, trace_b = response.susceptibility_backward(h0, a, n_occ)
+        values["a1_dual_backward"] = trace_product(chi_b, h1)
+        if cfg.tau is None:
+            # sparse iterates hold only their nnz entries, so no N^2 count
+            out["backward_stored_floats"] = trace_b.m_steps * h0.shape[0] ** 2
+        trace = trace or trace_b
+    out.update(a0=trace_product(a, d0), values=values, expansion=_trace_summary(trace))
+    return out
 
-    if cfg.precision in ("f32", "split16"):
-        if s is not None:
-            raise UsageError("low-precision pipelines assume an orthonormal basis")
-        pipeline = (
-            mixedprec.mixed_response_pipeline
-            if cfg.precision == "split16"
-            else mixedprec.single_precision_pipeline
-        )
-        values = {}
-        mult_count = 0
-        ref: dict[str, float] = {}
-        trace = None
-        if cfg.mode in ("perturb", "both"):
-            res = pipeline(h0, h1, n_occ, mode="perturbation")
-            values["a1_direct"] = linalg.trace_product(a, res.response)
-            mult_count += res.mult_count
-            trace = res.trace
-            _, d1_ref, _ = response.dm_perturbation_forward(h0, h1, n_occ)
-            ref["a1_direct_f64"] = linalg.trace_product(a, d1_ref)
-        if cfg.mode in ("suscept-fwd", "both"):
-            res = pipeline(h0, a, n_occ, mode="susceptibility")
-            values["a1_dual_forward"] = linalg.trace_product(res.response, h1)
-            mult_count += res.mult_count
-            trace = res.trace
-            _, chi_ref, _ = response.susceptibility_forward(h0, a, n_occ)
-            ref["a1_dual_forward_f64"] = linalg.trace_product(chi_ref, h1)
-        if cfg.mode == "suscept-bwd":
-            raise UsageError("low-precision pipelines run forward expansions only")
-        rel = {
-            k: abs(values[k.removesuffix("_f64")] - v) / max(abs(v), 1e-300)
-            for k, v in ref.items()
+
+def _solve_low_precision(cfg, h0, s, a, h1, n_occ) -> dict:
+    """f32 or split16 expansions, each response checked against its float64
+    route."""
+    pipeline = (
+        mixedprec.mixed_response_pipeline
+        if cfg.precision == "split16"
+        else mixedprec.single_precision_pipeline
+    )
+    if h1 is None:
+        res = pipeline(h0, a, n_occ, mode="susceptibility")
+        return {
+            "trace_d0": float(np.trace(res.d0)),
+            "a0": linalg.trace_product(a, res.d0),
+            "mult_count": res.mult_count,
+            "expansion": _trace_summary(res.trace),
         }
-        results.update(
-            route=cfg.precision,
-            values=values,
-            f64_reference=ref,
-            relative_error_vs_f64=rel,
-            mult_count=mult_count,
-            duality_deviations=_pairwise_deviations(values),
-        )
-        if trace is not None:
-            results["expansion"] = _trace_summary(trace)
-        return results
+    values = {}
+    ref = {}
+    mult_count = 0
+    if _wants(cfg, "perturb"):
+        res = pipeline(h0, h1, n_occ, mode="perturbation")
+        values["a1_direct"] = linalg.trace_product(a, res.response)
+        mult_count += res.mult_count
+        _, d1_ref, _ = response.dm_perturbation_forward(h0, h1, n_occ)
+        ref["a1_direct_f64"] = linalg.trace_product(a, d1_ref)
+    if _wants(cfg, "suscept-fwd"):
+        res = pipeline(h0, a, n_occ, mode="susceptibility")
+        values["a1_dual_forward"] = linalg.trace_product(res.response, h1)
+        mult_count += res.mult_count
+        _, chi_ref, _ = response.susceptibility_forward(h0, a, n_occ)
+        ref["a1_dual_forward_f64"] = linalg.trace_product(chi_ref, h1)
+    rel = {
+        k: abs(values[k.removesuffix("_f64")] - v) / max(abs(v), 1e-300)
+        for k, v in ref.items()
+    }
+    return {
+        "values": values,
+        "f64_reference": ref,
+        "relative_error_vs_f64": rel,
+        "mult_count": mult_count,
+        "expansion": _trace_summary(res.trace),
+    }
 
-    out = _respond_dense(*_to_orthogonal(s, h0, a, h1), n_occ, cfg.mode)
-    out["route"] = "dense" if s is None else "dense_orthogonalized"
-    results.update(out)
+
+SOLVERS = {
+    "scf": _solve_scf,
+    "thermal": _solve_thermal,
+    "sparse": _solve_sp2,
+    "dense": _solve_sp2,
+    "dense_orthogonalized": _solve_sp2,
+    "f32": _solve_low_precision,
+    "split16": _solve_low_precision,
+}
+
+
+def _run_route(cfg: RunConfig, route: str) -> dict:
+    """ground-state and respond: load the inputs, apply the overlap, and run
+    the route's solver."""
+    h0, s, a, h1 = _load_or_generate(cfg)
+    n = _dim(h0)
+    n_occ = _resolve_n_occ(cfg, n)
+    if s is not None and route != "scf":
+        # the dense and thermal routes work in the Loewdin-orthonormal basis;
+        # the SCF route takes the overlap itself
+        z = linalg.inverse_sqrt_factor(s)
+        h0, a, h1 = (
+            m if m is None else linalg.congruence_transform(m, z, "to_orthogonal")
+            for m in (h0, a, h1)
+        )
+    results: dict = {"dim": n, "n_occ": n_occ, "route": route}
+    if cfg.subcommand == "respond":
+        results["mode"] = cfg.mode
+    results.update(SOLVERS[route](cfg, h0, s, a, h1, n_occ))
+    if "values" in results:
+        results["duality_deviations"] = oracles.pairwise_deviations(results["values"])
     return results
 
 
-def _run_audit(cfg: RunConfig) -> dict:
-    _reject(
-        cfg,
-        kernel="audit has no self-consistent route; drop --kernel",
-        tau="audit runs dense routes; drop --tau",
-        precision="audit runs in float64; drop --precision",
-    )
-    h0, s, a, h1 = _load_or_generate(cfg)
-    if s is not None:
-        raise UsageError("audit runs in an orthonormal basis; drop --overlap")
-    if isinstance(h0, SparseMatrix):
-        h0 = h0.to_dense()
+def _run_audit(cfg: RunConfig, route: str) -> dict:
+    h0, _, a, h1 = _load_or_generate(cfg)
     n = h0.shape[0]
     n_occ = _resolve_n_occ(cfg, n)
-    cfg_t = ThermalConfig(beta_t=cfg.beta_t, n_occ=float(n_occ)) if cfg.beta_t is not None else None
+    cfg_t = ThermalConfig(beta_t=cfg.beta_t, n_occ=float(n_occ)) if route == "thermal" else None
     report = oracles.duality_audit(h0, a, h1, n_occ, thermal=cfg_t, fd_step=cfg.fd_step)
     return {"dim": n, "n_occ": n_occ, **report.as_dict()}
 
 
-def _run_benchmark(cfg: RunConfig) -> dict:
-    if not cfg.sizes:
-        raise UsageError("--sizes is required for benchmark")
-    generated = "benchmark generates its own inputs; drop --h0, --h1, --obs and --overlap"
-    _reject(
-        cfg,
-        kernel="benchmark has no self-consistent route; drop --kernel",
-        beta_t="benchmark runs at zero temperature; drop --beta-t",
-        precision="benchmark runs the float64 sparse route; drop --precision",
-        h0=generated,
-        h1=generated,
-        obs=generated,
-        overlap=generated,
-    )
-    if cfg.kind == "overlap_chain":
-        raise UsageError("benchmark runs in an orthonormal basis; --kind overlap_chain has an overlap")
+def _run_benchmark(cfg: RunConfig, route: str) -> dict:
     kind = cfg.kind or "chain"
     tau = cfg.tau if cfg.tau is not None else 1e-6
     per_size = []
@@ -475,7 +460,7 @@ def _run_benchmark(cfg: RunConfig) -> dict:
     for n in cfg.sizes:
         spec = models.ModelSpec(kind=kind, n=n, gap=cfg.gap, seed=cfg.seed)
         h, _ = models.generate_model(spec)
-        n_occ = _resolve_n_occ(cfg, n) if cfg.n_occ is not None else n // 2
+        n_occ = _resolve_n_occ(cfg, n)
         a = np.zeros((n, n))
         np.fill_diagonal(a, rng.uniform(-1.0, 1.0, n))
         h1 = models.chain_hamiltonian(n, cfg.gap)
@@ -513,8 +498,7 @@ def _run_benchmark(cfg: RunConfig) -> dict:
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one configured pipeline; returns (exit_code, report)."""
-    if cfg.beta_t is not None and not cfg.beta_t > 0.0:
-        raise UsageError(f"--beta-t must be positive, got {cfg.beta_t}")
+    route = _route(cfg)
     started = time.perf_counter()
     report = {
         "schema": REPORT_SCHEMA,
@@ -523,22 +507,15 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         "precision": cfg.precision,
         "error": None,
     }
-    runner = {
-        "ground-state": _run_ground_state,
-        "respond": _run_respond,
-        "audit": _run_audit,
-        "benchmark": _run_benchmark,
-    }[cfg.subcommand]
+    runner = {"audit": _run_audit, "benchmark": _run_benchmark}.get(cfg.subcommand, _run_route)
     code = 0
     try:
-        results = runner(cfg)
+        results = runner(cfg, route)
         # timing values are excluded from determinism guarantees
         timing_keys = _strip_timing(results)
         _check_finite(results)
         report["results"] = results
         report["timing"] = {"total_s": time.perf_counter() - started, **timing_keys}
-    except UsageError:
-        raise
     except (ConvergenceError, MatrixMarketError, ValueError, OverflowError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConvergenceError) and exc.history:
@@ -565,6 +542,13 @@ def _write_report(report: dict, out: str | None):
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,45 +589,19 @@ def build_parser() -> argparse.ArgumentParser:
     audit = add_common(sub.add_parser("audit", help="all-routes duality audit"))
     audit.add_argument("--fd-step", type=float, default=1e-5, dest="fd_step")
     bench = add_common(sub.add_parser("benchmark", help="thresholded-sparse scaling sweep"))
-    bench.add_argument("--sizes", help="comma-separated dimensions, e.g. 500,1000,2000")
+    bench.add_argument(
+        "--sizes", type=_sizes, required=True, help="comma-separated dimensions, e.g. 500,1000,2000"
+    )
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
-    sizes = ()
-    if getattr(ns, "sizes", None):
-        try:
-            sizes = tuple(int(s) for s in ns.sizes.split(","))
-        except ValueError:
-            parser.error(f"bad --sizes value {ns.sizes!r}")
-    cfg = RunConfig(
-        subcommand=ns.subcommand,
-        h0=ns.h0,
-        h1=ns.h1,
-        obs=ns.obs,
-        overlap=ns.overlap,
-        kind=ns.kind,
-        size=ns.size,
-        gap=ns.gap,
-        model_overlap=ns.model_overlap,
-        n_occ=ns.n_occ,
-        tau=ns.tau,
-        beta_t=ns.beta_t,
-        kernel=ns.kernel,
-        precision=ns.precision,
-        mode=getattr(ns, "mode", "both"),
-        seed=ns.seed,
-        sizes=sizes,
-        out=ns.out,
-        fd_step=getattr(ns, "fd_step", 1e-5),
-    )
+    cfg = RunConfig(**vars(parser.parse_args(argv)))
     try:
         code, report = run(cfg)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
-        return 2  # unreachable; keeps type checkers calm
     _write_report(report, cfg.out)
     return code
 

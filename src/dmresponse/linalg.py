@@ -10,7 +10,6 @@ in the test suite leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -63,18 +62,13 @@ def symmetric_matrix(data) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix contains non-finite entries")
     norm = float(np.linalg.norm(x))
-    asym = asymmetry_norm(x)
+    asym = float(np.linalg.norm(x - x.T))
     if asym > ASYMMETRY_RTOL * norm:
         raise ValueError(
             f"matrix is not symmetric: ||X - X^T||_F = {asym:.3e} "
             f"exceeds {ASYMMETRY_RTOL:g} * ||X||_F = {ASYMMETRY_RTOL * norm:.3e}"
         )
     return 0.5 * (x + x.T)
-
-
-def asymmetry_norm(x: np.ndarray) -> float:
-    """Frobenius norm of X - X^T."""
-    return float(np.linalg.norm(x - x.T))
 
 
 def symmetrize(x: np.ndarray) -> np.ndarray:
@@ -86,10 +80,6 @@ def symmetrize(x: np.ndarray) -> np.ndarray:
 def trace_product(a: np.ndarray, b: np.ndarray) -> float:
     """Tr[A B] for general square matrices."""
     return float(np.einsum("ij,ji->", a, b))
-
-
-def frobenius(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
 
 
 def sym_eigendecompose(x: np.ndarray) -> EigenDecomposition:
@@ -114,22 +104,6 @@ def sym_eigendecompose(x: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values=values, vectors=vectors)
 
 
-def apply_matrix_function(x: np.ndarray, f: Callable[[float], float]) -> np.ndarray:
-    """Evaluate a scalar function of a symmetric matrix in its eigenbasis.
-
-    Returns ``V diag(f(w)) V^T`` symmetrized. Raises ValueError naming the
-    eigenvalue if f evaluates to a non-finite value there.
-    """
-    eig = sym_eigendecompose(x)
-    fv = np.array([float(f(lam)) for lam in eig.values])
-    bad = ~np.isfinite(fv)
-    if np.any(bad):
-        lam = eig.values[bad][0]
-        raise ValueError(f"matrix function is not finite at eigenvalue {lam!r}")
-    y = (eig.vectors * fv) @ eig.vectors.T
-    return symmetrize(y)
-
-
 def inverse_sqrt_factor(s: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root Z of an SPD matrix, with Z^T S Z = I.
 
@@ -148,7 +122,7 @@ def inverse_sqrt_factor(s: np.ndarray) -> np.ndarray:
     return symmetrize(z)
 
 
-_CONGRUENCE_DIRECTIONS = ("to_orthogonal", "from_orthogonal", "density_from_orthogonal")
+_CONGRUENCE_DIRECTIONS = ("to_orthogonal", "density_from_orthogonal")
 
 
 def congruence_transform(x: np.ndarray, z: np.ndarray, direction: str) -> np.ndarray:
@@ -157,7 +131,6 @@ def congruence_transform(x: np.ndarray, z: np.ndarray, direction: str) -> np.nda
     direction:
       * ``to_orthogonal``           -> Z^T X Z    (operators H, A)
       * ``density_from_orthogonal`` -> Z X Z^T    (densities, susceptibilities)
-      * ``from_orthogonal``         -> Z^-T X Z^-1 (inverse map for operators)
     """
     if x.shape != z.shape or x.shape[0] != x.shape[1]:
         raise ValueError(f"dimension mismatch: X {x.shape} vs Z {z.shape}")
@@ -165,9 +138,6 @@ def congruence_transform(x: np.ndarray, z: np.ndarray, direction: str) -> np.nda
         y = z.T @ x @ z
     elif direction == "density_from_orthogonal":
         y = z @ x @ z.T
-    elif direction == "from_orthogonal":
-        w = np.linalg.solve(z.T, x)  # Z^-T X
-        y = np.linalg.solve(z.T, w.T).T  # (Z^-T X) Z^-1
     else:
         raise ValueError(
             f"unknown direction {direction!r}; expected one of {_CONGRUENCE_DIRECTIONS}"

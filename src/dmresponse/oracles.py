@@ -9,6 +9,7 @@ these never call the code they check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -143,17 +144,14 @@ class DualityAuditReport:
         }
 
 
-def _pairwise(values: dict[str, float]) -> tuple[float, float, dict[str, float]]:
+def pairwise_deviations(values: dict[str, float]) -> dict[str, float]:
+    """|values[a] - values[b]| for every pair of routes, keyed "a|b" with a < b."""
     names = sorted(values)
-    scale = max(max(abs(v) for v in values.values()), 1e-12)
-    details = {}
-    worst = 0.0
-    for i, na in enumerate(names):
-        for nb in names[i + 1 :]:
-            dev = abs(values[na] - values[nb])
-            details[f"{na}|{nb}"] = dev
-            worst = max(worst, dev)
-    return worst, worst / scale, details
+    return {
+        f"{na}|{nb}": abs(values[na] - values[nb])
+        for i, na in enumerate(names)
+        for nb in names[i + 1 :]
+    }
 
 
 def duality_audit(h0, a, h1, n_occ, thermal=None, fd_step: float = 1e-5) -> DualityAuditReport:
@@ -164,8 +162,10 @@ def duality_audit(h0, a, h1, n_occ, thermal=None, fd_step: float = 1e-5) -> Dual
     backward susceptibilities, and the exact eigenbasis projector derivative.
     Finite temperature (thermal = ThermalConfig): both trace-neutral
     eigenbasis routes plus a finite-difference of the occupation-constrained
-    Fermi matrix.
+    Fermi matrix, with central step fd_step.
     """
+    if not 0.0 < fd_step < math.inf:
+        raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
     if thermal is None:
         from .response import dm_perturbation_forward, susceptibility_backward, susceptibility_forward
 
@@ -200,10 +200,12 @@ def duality_audit(h0, a, h1, n_occ, thermal=None, fd_step: float = 1e-5) -> Dual
             "oracle_finite_difference": fd,
         }
 
-    worst_abs, worst_rel, details = _pairwise(values)
+    details = pairwise_deviations(values)
+    worst = max([0.0, *details.values()])
+    scale = max(max(abs(v) for v in values.values()), 1e-12)
     return DualityAuditReport(
         values=values,
-        max_abs_deviation=worst_abs,
-        max_rel_deviation=worst_rel,
+        max_abs_deviation=worst,
+        max_rel_deviation=worst / scale,
         details=details,
     )

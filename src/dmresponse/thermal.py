@@ -31,13 +31,10 @@ MU_MAX_BISECTIONS = 500
 
 @dataclass(frozen=True)
 class ThermalConfig:
-    """Inverse temperature, occupation target, and (once solved) the
-    chemical potential and its first-order response."""
+    """Inverse temperature and occupation target of a canonical ensemble."""
 
     beta_t: float
     n_occ: float
-    mu0: float | None = None
-    mu1: float | None = None
 
     def __post_init__(self):
         if self.beta_t <= 0:
@@ -142,28 +139,6 @@ def loewner_matrix(
         quotient = num / np.where(near, 1.0, diff)
     mid = np.asarray(fprime(0.5 * (li + lj)), dtype=np.float64)
     return np.where(near, mid, quotient)
-
-
-def loewner_directional_derivative(
-    eig: EigenDecomposition,
-    direction: np.ndarray,
-    f: Callable,
-    fprime: Callable,
-    degeneracy_delta: float = DEGENERACY_DELTA,
-) -> np.ndarray:
-    """Exact derivative of a matrix function along a symmetric direction.
-
-    Evaluates V (L o (V^T direction V)) V^T with L the divided-difference
-    matrix of f on the eigenvalues of the unperturbed matrix.
-    """
-    if direction.shape != eig.vectors.shape:
-        raise ValueError(
-            f"dimension mismatch: direction {direction.shape} vs basis {eig.vectors.shape}"
-        )
-    ell = loewner_matrix(eig.values, f, fprime, degeneracy_delta)
-    w = eig.vectors.T @ direction @ eig.vectors
-    out = eig.vectors @ (ell * w) @ eig.vectors.T
-    return symmetrize(out)
 
 
 def trace_neutral_derivative(

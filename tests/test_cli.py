@@ -1,12 +1,13 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from dmresponse import sparse
+from dmresponse import cli, sparse
 from dmresponse.cli import main
 from dmresponse.mmio import write_matrix_market
-from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
+from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian, overlap_chain_matrices
 from dmresponse.sparse import sparsify
 
 from conftest import random_symmetric
@@ -164,7 +165,8 @@ class TestRespond:
         for kind in ("coo", "arr"):
             calls.clear()
             args = [subcommand, "--tau", "1e-6"]
-            for tag in ("h0", "obs", "h1"):
+            # ground-state computes no response, so it refuses --h1
+            for tag in ("h0", "obs", "h1")[: 3 if subcommand == "respond" else 2]:
                 args += [f"--{tag}", str(tmp_path / f"{tag}_{kind}.mtx")]
             code, rep = run_cli(args, tmp_path, kind + ".json")
             assert code == 0 and rep["results"]["route"] == "sparse"
@@ -254,6 +256,11 @@ class TestRespond:
         for mode, key in (("perturb", "a1_direct"), ("suscept-fwd", "a1_dual_forward")):
             _, single = run_cli(args + ["--mode", mode], tmp_path, f"{mode}.json")
             assert single["results"]["values"][key] == rep["results"]["values"][key]
+            # mu1 is the chemical-potential response to H1, which only the
+            # density-response route computes
+            mu1 = rep["results"]["mu1"] if mode == "perturb" else None
+            assert single["results"]["mu1"] == mu1
+        assert rep["results"]["mu1"] is not None
 
     def test_split16_reports_mult_count(self, tmp_path):
         code, rep = run_cli(
@@ -300,6 +307,29 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    def test_bad_values_exit_2(self, tmp_path):
+        # out-of-range values, unreadable inputs and ignored flags are usage
+        # errors, not crashes or numerical failures
+        write_matrix_market(tmp_path / "s8.mtx", overlap_chain_matrices(8, 1.0, 0.2)[1])
+        write_matrix_market(tmp_path / "h1.mtx", np.eye(20))
+        gen = ["--kind", "gapped_random", "--size", "20"]
+        for argv in [
+            ["audit", *gen, "--beta-t", "12", "--fd-step", "0"],
+            ["audit", *gen, "--fd-step", "nan"],
+            ["respond", "--h0", str(tmp_path / "missing.mtx")],
+            ["respond", *gen, "--tau", "-1"],
+            ["respond", *gen, "--tau", "nan"],
+            ["respond", *gen, "--tau", "inf"],
+            ["respond", *gen, "--beta-t", "inf"],
+            ["respond", *gen, "--beta-t", "nan"],
+            ["respond", *gen, "--overlap", str(tmp_path / "s8.mtx")],
+            ["ground-state", *gen, "--h1", str(tmp_path / "h1.mtx")],
+            ["benchmark", "--kind", "chain", "--size", "50", "--sizes", "50"],
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
 
     def test_missing_input_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -362,3 +392,90 @@ class TestAuditAndBenchmark:
         assert [e["n"] for e in rep["results"]["per_size"]] == [100, 200]
         assert "200/100" in rep["timing"]["time_ratios"]
         assert all(e["nnz_d0"] > 0 for e in rep["results"]["per_size"])
+
+
+# route-selecting flags; OVERLAP_FILE is replaced by a written overlap matrix
+ROUTE_FLAGS = {
+    "kernel": ["--kernel", "hubbard:0.1"],
+    "beta_t": ["--beta-t", "20"],
+    "tau": ["--tau", "1e-6"],
+    "f32": ["--precision", "f32"],
+    "split16": ["--precision", "split16"],
+    "overlap_file": ["--overlap", "OVERLAP_FILE"],
+    "overlap_chain": ["--kind", "overlap_chain"],
+}
+FLAG_SETS = [()] + [(f,) for f in ROUTE_FLAGS] + [
+    pair for pair in itertools.combinations(ROUTE_FLAGS, 2) if pair != ("f32", "split16")
+]
+SUBCOMMANDS = [("ground-state",), ("audit",), ("benchmark",)] + [
+    ("respond", "--mode", mode) for mode in cli.MODES
+]
+
+
+def expected_route(sub, flags):
+    """The documented route table: the route a run takes, or None when it
+    must exit 2."""
+    overlap = "overlap_file" in flags or "overlap_chain" in flags
+    precision = next((p for p in ("f32", "split16") if p in flags), None)
+    if sub[0] == "audit" and ({"kernel", "tau"} & set(flags) or precision or overlap):
+        return None
+    if sub[0] == "benchmark" and ({"kernel", "beta_t"} & set(flags) or precision or overlap):
+        return None
+    if "kernel" in flags:
+        route, refused = "scf", "tau" in flags or precision
+    elif "beta_t" in flags:
+        route, refused = "thermal", "tau" in flags or precision
+    elif "tau" in flags:
+        route, refused = "sparse", precision or overlap
+    elif precision:
+        route, refused = precision, overlap
+    else:
+        route, refused = ("dense_orthogonalized" if overlap else "dense"), False
+    if sub[-1] == "suscept-bwd" and route in ("scf", "thermal", "f32", "split16"):
+        refused = True
+    return None if refused else route
+
+
+@pytest.fixture(scope="module")
+def overlap_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("overlap") / "s8.mtx"
+    write_matrix_market(path, overlap_chain_matrices(8, 1.0, 0.2)[1])
+    return str(path)
+
+
+@pytest.mark.parametrize("flags", FLAG_SETS, ids=lambda f: "+".join(f) or "none")
+@pytest.mark.parametrize("sub", SUBCOMMANDS, ids=lambda s: s[-1])
+def test_route_table(tmp_path, overlap_file, sub, flags):
+    size = ["--sizes", "16"] if sub[0] == "benchmark" else ["--size", "8"]
+    argv = [*sub, "--kind", "chain", *size]
+    for flag in flags:
+        argv += [overlap_file if a == "OVERLAP_FILE" else a for a in ROUTE_FLAGS[flag]]
+    route = expected_route(sub, flags)
+    if route is None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return
+    code, rep = run_cli(argv, tmp_path)
+    assert code == 0 and rep["error"] is None
+    if sub[0] in ("ground-state", "respond"):
+        assert rep["results"]["route"] == route
+
+
+def test_refused_combination_opens_no_file(tmp_path, monkeypatch):
+    write_matrix_market(tmp_path / "h.mtx", chain_hamiltonian(8, 1.0))
+    opened = []
+    real = cli.read_matrix_market
+
+    def spy(path):
+        opened.append(path)
+        return real(path)
+
+    monkeypatch.setattr(cli, "read_matrix_market", spy)
+    argv = ["respond", "--h0", str(tmp_path / "h.mtx"), "--tau", "1e-6"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--precision", "split16"])
+    assert exc.value.code == 2 and opened == []
+    # the spy does see the reads of an accepted run
+    code, _ = run_cli(argv, tmp_path)
+    assert code == 0 and opened == [str(tmp_path / "h.mtx")]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dmresponse.linalg import (
-    apply_matrix_function,
     congruence_transform,
     gershgorin_bounds,
     inverse_sqrt_factor,
@@ -71,36 +70,6 @@ class TestEigendecompose:
             sym_eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
-class TestApplyMatrixFunction:
-    def test_identity_function(self, rng):
-        x = random_symmetric(rng, 12)
-        y = apply_matrix_function(x, lambda v: v)
-        assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
-
-    def test_constant_function(self, rng):
-        x = random_symmetric(rng, 7)
-        y = apply_matrix_function(x, lambda v: 2.5)
-        np.testing.assert_allclose(y, 2.5 * np.eye(7), atol=1e-12)
-
-    def test_step_function_projector(self):
-        y = apply_matrix_function(np.diag([0.0, 2.0]), lambda v: 1.0 if v < 1.0 else 0.0)
-        np.testing.assert_allclose(y, np.diag([1.0, 0.0]), atol=1e-14)
-
-    def test_nonfinite_value_names_eigenvalue(self):
-        with np.errstate(divide="ignore"):
-            with pytest.raises(ValueError, match="not finite at eigenvalue"):
-                apply_matrix_function(np.diag([1.0, 4.0]), lambda v: 1.0 / (v - 4.0))
-
-    def test_commutes_with_orthogonal_similarity(self, rng):
-        x = random_symmetric(rng, 20)
-        q = sym_eigendecompose(random_symmetric(rng, 20)).vectors
-        f = np.tanh
-        fx = apply_matrix_function(x, f)
-        lhs = apply_matrix_function(q.T @ x @ q, f)
-        rhs = q.T @ fx @ q
-        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(fx)
-
-
 class TestInverseSqrtFactor:
     def test_identity(self):
         np.testing.assert_allclose(inverse_sqrt_factor(np.eye(4)), np.eye(4), atol=1e-12)
@@ -134,7 +103,7 @@ class TestCongruenceTransform:
     def test_identity_z_all_directions(self, rng):
         x = random_symmetric(rng, 6)
         z = np.eye(6)
-        for d in ("to_orthogonal", "from_orthogonal", "density_from_orthogonal"):
+        for d in ("to_orthogonal", "density_from_orthogonal"):
             np.testing.assert_allclose(congruence_transform(x, z, d), x, atol=1e-12)
 
     def test_diagonal_example(self):
@@ -153,16 +122,6 @@ class TestCongruenceTransform:
         lhs = trace_product(a, d)
         rhs = trace_product(a_perp, d_perp)
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-    def test_from_orthogonal_inverts_to_orthogonal(self, rng):
-        n = 10
-        x = random_symmetric(rng, n)
-        s = np.eye(n) + 0.2 * random_symmetric(rng, n, scale=1.0 / np.sqrt(n))
-        z = inverse_sqrt_factor(s)
-        back = congruence_transform(
-            congruence_transform(x, z, "to_orthogonal"), z, "from_orthogonal"
-        )
-        np.testing.assert_allclose(back, x, atol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

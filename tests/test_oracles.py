@@ -134,3 +134,11 @@ class TestDualityAudit:
         rep = duality_audit(h0, a, h1, 8, thermal=ThermalConfig(beta_t=10.0, n_occ=8.0))
         assert rep.max_rel_deviation <= 1e-7
         assert "oracle_finite_difference" in rep.values
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
+    def test_rejects_bad_fd_step(self, step):
+        h0 = np.diag([0.0, 2.0])
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cfg = ThermalConfig(beta_t=10.0, n_occ=1.0)
+        with pytest.raises(ValueError, match="fd_step"):
+            duality_audit(h0, w, w, 1, thermal=cfg, fd_step=step)

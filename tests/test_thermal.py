@@ -12,7 +12,6 @@ from dmresponse.thermal import (
     fermi_derivative,
     fermi_function,
     fermi_matrix_and_mu,
-    loewner_directional_derivative,
     loewner_matrix,
 )
 
@@ -81,52 +80,6 @@ class TestLoewnerMatrix:
         fp = lambda x: 2.0 * x
         ell = loewner_matrix(lam, f, fp)
         assert abs(ell[0, 1] - 2.0 * (1.0 + 0.5e-12)) < 1e-9
-
-
-class TestLoewnerDirectionalDerivative:
-    def test_diagonal_direction(self, rng):
-        h = random_symmetric(rng, 10)
-        eig = sym_eigendecompose(h)
-        w = np.diag(rng.uniform(-1, 1, 10))
-        direction = eig.vectors @ w @ eig.vectors.T
-        f = np.tanh
-        fp = lambda x: 1.0 / np.cosh(x) ** 2
-        out = loewner_directional_derivative(eig, direction, f, fp)
-        back = eig.vectors.T @ out @ eig.vectors
-        np.testing.assert_allclose(np.diag(back), fp(eig.values) * np.diag(w), atol=1e-9)
-        offdiag = back - np.diag(np.diag(back))
-        assert np.max(np.abs(offdiag)) < 1e-9
-
-    def test_linear_function(self, rng):
-        h = random_symmetric(rng, 8)
-        eig = sym_eigendecompose(h)
-        direction = random_symmetric(rng, 8)
-        out = loewner_directional_derivative(
-            eig, direction, lambda x: 3.0 * x - 1.0, lambda x: 3.0 * np.ones_like(x)
-        )
-        np.testing.assert_allclose(out, 3.0 * direction, atol=1e-10)
-
-    def test_matches_fermi_finite_difference_fixed_mu(self, rng):
-        n = 30
-        h = random_symmetric(rng, n)
-        direction = random_symmetric(rng, n)
-        beta_t, mu = 8.0, 0.05
-        eig = sym_eigendecompose(h)
-        out = loewner_directional_derivative(
-            eig,
-            direction,
-            lambda x: fermi_function(x, beta_t, mu),
-            lambda x: fermi_derivative(x, beta_t, mu),
-        )
-        step = 1e-5
-
-        def fermi_at(hm):
-            e = sym_eigendecompose(0.5 * (hm + hm.T))
-            occ = fermi_function(e.values, beta_t, mu)
-            return (e.vectors * occ) @ e.vectors.T
-
-        fd = (fermi_at(h + step * direction) - fermi_at(h - step * direction)) / (2 * step)
-        assert np.linalg.norm(out - fd) <= 1e-6
 
 
 class TestCanonicalSusceptibility:
@@ -207,5 +160,3 @@ def test_hadamard_trace_identity(rng):
 def test_thermal_config_validation():
     with pytest.raises(ValueError):
         ThermalConfig(beta_t=-1.0, n_occ=2.0)
-    cfg = ThermalConfig(beta_t=10.0, n_occ=2.0)
-    assert cfg.mu0 is None and cfg.mu1 is None
