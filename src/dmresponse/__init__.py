@@ -51,11 +51,13 @@ from .scf import (
     BilinearKernel,
     DiagonalHubbardKernel,
     ScfConfig,
+    ScfResponse,
     ScfState,
     ZeroKernel,
     apply_kernel,
     scf_dm_response,
     scf_ground_state,
+    scf_response,
     scf_susceptibility,
 )
 from .sp2 import Sp2Trace, sp2_ground_state
@@ -110,11 +112,13 @@ __all__ = [
     "BilinearKernel",
     "DiagonalHubbardKernel",
     "ScfConfig",
+    "ScfResponse",
     "ScfState",
     "ZeroKernel",
     "apply_kernel",
     "scf_dm_response",
     "scf_ground_state",
+    "scf_response",
     "scf_susceptibility",
     "Sp2Trace",
     "sp2_ground_state",

@@ -19,9 +19,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -112,13 +113,18 @@ CONFLICTS = {
 # routes with a backward (stored-iterate) expansion, i.e. respond --mode suscept-bwd
 BACKWARD = {"dense", "dense_orthogonalized", "sparse"}
 
+# model-generator flags, which an --h0 file leaves unused
+GENERATOR = ("kind", "size", "gap", "model_overlap")
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
 
 def _given(cfg: RunConfig, flag: str) -> bool:
     """Whether a flag is set away from its default; a generated overlap_chain
-    counts as an overlap unless an --h0 file replaces the model."""
-    if flag == "overlap" and cfg.kind == "overlap_chain" and not cfg.h0:
+    counts as an overlap."""
+    if flag == "overlap" and cfg.kind == "overlap_chain":
         return True
-    return getattr(cfg, flag) not in (None, "f64")
+    return getattr(cfg, flag) != _DEFAULTS[flag]
 
 
 def _route(cfg: RunConfig) -> str:
@@ -133,6 +139,12 @@ def _route(cfg: RunConfig) -> str:
         raise UsageError(f"--tau must be finite and non-negative, got {cfg.tau}")
     if not 0.0 < cfg.fd_step < math.inf:
         raise UsageError(f"--fd-step must be finite and positive, got {cfg.fd_step}")
+    if cfg.h0:
+        for flag in GENERATOR:
+            if _given(cfg, flag):
+                raise UsageError(
+                    f"--h0 replaces the generated model; drop --{flag.replace('_', '-')}"
+                )
     for flag, reason in REFUSED[cfg.subcommand].items():
         if _given(cfg, flag):
             raise UsageError(reason)
@@ -296,11 +308,16 @@ def _solve_scf(cfg, h0, s, a, h1, n_occ) -> dict:
         out["trace_d0"] = float(np.trace(state.d0_perp))
         return out
     values = {}
+    iterations = {}  # derivative applications of each coupled-perturbed solve
     if _wants(cfg, "perturb"):
-        values["a1_direct"] = linalg.trace_product(a, scf.scf_dm_response(state, h1))
+        res = scf.scf_response(state, h1)
+        values["a1_direct"] = linalg.trace_product(a, res.response)
+        iterations["a1_direct"] = res.applications
     if _wants(cfg, "suscept-fwd"):
-        values["a1_dual_forward"] = linalg.trace_product(scf.scf_susceptibility(state, a), h1)
-    out["values"] = values
+        res = scf.scf_response(state, a)
+        values["a1_dual_forward"] = linalg.trace_product(res.response, h1)
+        iterations["a1_dual_forward"] = res.applications
+    out.update(values=values, response_iterations=iterations)
     return out
 
 
@@ -496,8 +513,22 @@ def _run_benchmark(cfg: RunConfig, route: str) -> dict:
 # entry points
 
 
+def _check_out(out: str | None):
+    """Refuse a report path that cannot be written, before any work is done."""
+    if out is None:
+        return
+    directory = os.path.dirname(out) or "."
+    if not os.path.isdir(directory):
+        raise UsageError(f"--out {out}: directory {directory} does not exist")
+    if os.path.isdir(out):
+        raise UsageError(f"--out {out} is a directory")
+    if not os.access(out if os.path.exists(out) else directory, os.W_OK):
+        raise UsageError(f"--out {out} is not writable")
+
+
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one configured pipeline; returns (exit_code, report)."""
+    _check_out(cfg.out)
     route = _route(cfg)
     started = time.perf_counter()
     report = {

@@ -236,6 +236,17 @@ class TestRespond:
         )
         assert code == 0 and rep["results"]["route"] == "thermal"
 
+    @pytest.mark.parametrize("mode", ["perturb", "suscept-fwd", "both"])
+    def test_scf_reports_response_iterations(self, tmp_path, mode):
+        argv = ["respond", "--kind", "gapped_random", "--size", "16", "--kernel", "hubbard:3"]
+        code, rep = run_cli(argv + ["--mode", mode], tmp_path)
+        assert code == 0 and rep["error"] is None
+        results = rep["results"]
+        assert set(results["response_iterations"]) == set(results["values"])
+        assert all(2 <= k <= 30 for k in results["response_iterations"].values())
+        assert 1 <= results["scf_iterations"] <= 30
+        assert all(d <= 1e-9 for d in results["duality_deviations"].values())
+
     def test_thermal_route_decomposes_once(self, tmp_path, monkeypatch):
         from dmresponse import linalg, oracles, scf, thermal
 
@@ -330,6 +341,45 @@ class TestErrorPaths:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+
+    @pytest.mark.parametrize("out", ["/nonexistent/dir/r.json", "DIRECTORY"])
+    def test_unwritable_out_exit_2(self, tmp_path, monkeypatch, out):
+        # refused before any input is generated or read
+        def no_inputs(cfg):
+            raise AssertionError("inputs assembled for an unwritable --out")
+
+        monkeypatch.setattr(cli, "_load_or_generate", no_inputs)
+        out = str(tmp_path) if out == "DIRECTORY" else out
+        with pytest.raises(SystemExit) as exc:
+            main(["respond", "--kind", "chain", "--size", "8", "--out", out])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--kind", "chain"],
+            ["--kind", "overlap_chain"],
+            ["--size", "999"],
+            ["--gap", "5"],
+            ["--model-overlap", "0.3"],
+        ],
+    )
+    @pytest.mark.parametrize("subcommand", ["ground-state", "respond", "audit"])
+    def test_h0_refuses_generator_flags(self, tmp_path, subcommand, extra):
+        write_matrix_market(tmp_path / "h.mtx", gapped_random_hamiltonian(6, 1.0, 3, seed=2))
+        with pytest.raises(SystemExit) as exc:
+            main([subcommand, "--h0", str(tmp_path / "h.mtx"), *extra])
+        assert exc.value.code == 2
+
+    def test_h0_accepts_generator_defaults(self, tmp_path):
+        # --gap and --model-overlap at their defaults change nothing
+        write_matrix_market(tmp_path / "h.mtx", gapped_random_hamiltonian(6, 1.0, 3, seed=2))
+        argv = ["respond", "--h0", str(tmp_path / "h.mtx")]
+        code, plain = run_cli(argv, tmp_path)
+        assert code == 0
+        code, explicit = run_cli(argv + ["--gap", "1.0", "--model-overlap", "0.2"], tmp_path)
+        assert code == 0
+        assert strip_timing(explicit) == strip_timing(plain)
 
     def test_missing_input_exit_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -9,10 +9,12 @@ from dmresponse.scf import (
     BilinearKernel,
     DiagonalHubbardKernel,
     ScfConfig,
+    ScfState,
     ZeroKernel,
     apply_kernel,
     scf_dm_response,
     scf_ground_state,
+    scf_response,
     scf_susceptibility,
 )
 from dmresponse.sp2 import sp2_ground_state
@@ -215,3 +217,112 @@ def test_scf_config_validation():
         ScfConfig(eps_scf=-1.0)
     with pytest.raises(ValueError):
         ScfConfig(beta_t=0.0)
+    with pytest.raises(ValueError):
+        ScfConfig(max_iters=0)
+
+
+def gapped_case(rng, n, seed):
+    return (
+        gapped_random_hamiltonian(n, 1.0, n // 2, seed=seed),
+        random_symmetric(rng, n),
+        random_symmetric(rng, n),
+    )
+
+
+def relative_duality(state, a, h1):
+    direct = trace_product(a, scf_dm_response(state, h1))
+    dual = trace_product(scf_susceptibility(state, a), h1)
+    return abs(direct - dual) / max(abs(direct), 1e-12)
+
+
+class TestKrylovAndAnderson:
+    @pytest.mark.parametrize("kernel_kind", ["hubbard", "bilinear"])
+    def test_strong_coupling_duality(self, rng, kernel_kind):
+        # Hubbard U = 3, and the bilinear kernel at five times the scale of
+        # test_self_consistent_duality
+        n = 16
+        h, a, h1 = gapped_case(rng, n, 89)
+        kernel = hubbard(3.0) if kernel_kind == "hubbard" else bilinear(rng, n, scale=0.4)
+        state = scf_ground_state(h, None, kernel, n // 2)
+        assert state.residuals[-1] <= ScfConfig().eps_scf
+        assert relative_duality(state, a, h1) <= 1e-9
+
+    def test_iteration_counts(self, rng):
+        n = 40
+        h, a, h1 = gapped_case(rng, n, 92)
+        state = scf_ground_state(h, None, hubbard(0.1), n // 2)
+        assert len(state.residuals) <= 25
+        for seed in (h1, a):
+            res = scf_response(state, seed)
+            assert res.applications <= 20
+            assert res.residuals[-1] <= ScfConfig().eps_scf
+
+    def test_wrappers_return_the_shared_solve(self, rng):
+        n = 12
+        h, a, h1 = gapped_case(rng, n, 93)
+        state = scf_ground_state(h, None, hubbard(0.5), n // 2)
+        assert np.array_equal(scf_dm_response(state, h1), scf_response(state, h1).response)
+        assert np.array_equal(scf_susceptibility(state, a), scf_response(state, a).response)
+
+    def test_response_matches_dense_solve(self, rng):
+        # the coupled-perturbed equation (I - L G) y = L(seed) assembled
+        # column by column and solved directly; L is the response at zero
+        # kernel, G the kernel itself
+        n, u = 6, 1.0
+        h, _, h1 = gapped_case(rng, n, 94)
+        state = scf_ground_state(h, None, hubbard(u), n // 2)
+        bare = ScfState(**{**vars(state), "kernel": ZeroKernel()})
+
+        def l_map(x):
+            return scf_response(bare, x).response
+
+        columns = []
+        for k in range(n * n):
+            e = np.zeros(n * n)
+            e[k] = 1.0
+            columns.append(l_map(apply_kernel(hubbard(u), e.reshape(n, n))).ravel())
+        system = np.eye(n * n) - np.stack(columns, axis=1)
+        y = np.linalg.solve(system, l_map(h1).ravel()).reshape(n, n)
+        d1 = scf_dm_response(state, h1)
+        assert np.linalg.norm(d1 - y) <= 1e-9 * np.linalg.norm(y)
+
+    def test_application_cap_carries_history(self, rng):
+        n = 12
+        h, _, h1 = gapped_case(rng, n, 95)
+        state = scf_ground_state(h, None, hubbard(1.0), n // 2)
+        with pytest.raises(ConvergenceError) as exc:
+            scf_response(state, h1, ScfConfig(max_iters=2))
+        # L(seed), then its fresh image: one residual, far from converged
+        assert len(exc.value.history) == 1
+        assert exc.value.history[0] > ScfConfig().eps_scf
+
+    @pytest.mark.parametrize("basis", ["finite_temperature", "overlap"])
+    def test_duality_through_new_solvers(self, rng, basis):
+        if basis == "finite_temperature":
+            n = 12
+            h, a, h1 = gapped_case(rng, n, 91)
+            s, cfg = np.eye(n), ScfConfig(beta_t=20.0)
+        else:
+            n = 10
+            h, s = overlap_chain_matrices(n, 1.0, 0.2)
+            a, h1 = random_symmetric(rng, n), random_symmetric(rng, n)
+            cfg = ScfConfig()
+        state = scf_ground_state(h, s, hubbard(1.0), n // 2, cfg)
+        assert len(state.residuals) <= 25
+        assert relative_duality(state, a, h1) <= 1e-9
+        for seed in (h1, a):
+            assert scf_response(state, seed).applications <= 20
+
+    def test_ground_state_matches_linear_mixing(self):
+        # the Anderson fixed point is the plain linear-mixing fixed point
+        n, n_occ = 12, 6
+        h = gapped_random_hamiltonian(n, 1.0, n_occ, seed=96)
+        kernel = hubbard(1.0)
+        d = np.zeros((n, n))
+        for _ in range(400):
+            d_new, _ = sp2_ground_state(h + apply_kernel(kernel, d), n_occ)
+            if np.linalg.norm(d_new - d) <= 1e-12:
+                break
+            d = d + 0.3 * (d_new - d)
+        state = scf_ground_state(h, None, kernel, n_occ)
+        assert np.linalg.norm(state.d0 - d_new) <= 1e-10
