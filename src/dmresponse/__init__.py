@@ -22,7 +22,6 @@ from .mixedprec import (
     MixedPipelineResult,
     MultCounter,
     SplitMatrix,
-    mixed_gemm,
     mixed_response_pipeline,
     round_binary16,
     single_precision_pipeline,
@@ -38,9 +37,7 @@ from .oracles import (
     projector_derivative_exact,
 )
 from .response import (
-    ResponsePair,
     dm_perturbation_forward,
-    linear_response_value,
     observable_position_derivative,
     orthogonal_hamiltonian_derivative,
     susceptibility_backward,
@@ -86,7 +83,6 @@ __all__ = [
     "MixedPipelineResult",
     "MultCounter",
     "SplitMatrix",
-    "mixed_gemm",
     "mixed_response_pipeline",
     "round_binary16",
     "single_precision_pipeline",
@@ -101,9 +97,7 @@ __all__ = [
     "duality_audit",
     "finite_difference_response",
     "projector_derivative_exact",
-    "ResponsePair",
     "dm_perturbation_forward",
-    "linear_response_value",
     "observable_position_derivative",
     "orthogonal_hamiltonian_derivative",
     "susceptibility_backward",

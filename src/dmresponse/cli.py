@@ -391,7 +391,7 @@ def _solve_low_precision(cfg, h0, s, a, h1, n_occ) -> dict:
         else mixedprec.single_precision_pipeline
     )
     if h1 is None:
-        res = pipeline(h0, a, n_occ, mode="susceptibility")
+        res = pipeline(h0, None, n_occ)
         return {
             "trace_d0": float(np.trace(res.d0)),
             "a0": linalg.trace_product(a, res.d0),
@@ -485,8 +485,7 @@ def _run_benchmark(cfg: RunConfig, route: str) -> dict:
         a_s = sparse.sparsify(a, tau)
         h1_s = sparse.sparsify(h1, tau)
         t0 = time.perf_counter()
-        d0, trace = sp2.sp2_ground_state(hs, n_occ)
-        _, chi, _ = response.susceptibility_forward(hs, a_s, n_occ, trace=trace)
+        d0, chi, trace = response.susceptibility_forward(hs, a_s, n_occ)
         wall = time.perf_counter() - t0
         per_size.append(
             {

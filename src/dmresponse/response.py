@@ -1,7 +1,9 @@
 """Linear response of the density matrix and observable susceptibilities.
 
 The ground-state recursion of :mod:`dmresponse.sp2` is differentiated along a
-chosen symmetric direction. Three equivalent routes are provided:
+chosen symmetric direction. Three equivalent routes are provided, each one
+run of the expansion engine `sp2._expand`, which checks the operands and
+gates every fresh run:
 
 * forward density-matrix perturbation: seed with the Hamiltonian perturbation,
   evolve the derivative alongside the ground-state iterate (no stored
@@ -18,40 +20,10 @@ transformed-Hamiltonian derivative it feeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import symmetrize, trace_product
-from .sp2 import Sp2Trace, _accept, _expand, _ops_for
-from .sparse import SparseMatrix, check_symmetric
-
-
-@dataclass(frozen=True)
-class ResponsePair:
-    """Ground state plus whichever first-order objects a run produced.
-
-    d1 is the density response to one specific Hamiltonian perturbation;
-    chi is the susceptibility of one specific observable. Either may be
-    absent.
-    """
-
-    d0: np.ndarray
-    d1: np.ndarray | None = None
-    chi: np.ndarray | None = None
-
-
-def _as_dense(m):
-    return m.to_dense() if isinstance(m, SparseMatrix) else m
-
-
-def _check_same_kind(h0, other, name):
-    if isinstance(h0, SparseMatrix) != isinstance(other, SparseMatrix):
-        raise ValueError(f"{name} must be the same storage kind as h0")
-    na = h0.dim if isinstance(h0, SparseMatrix) else h0.shape[0]
-    nb = other.dim if isinstance(other, SparseMatrix) else other.shape[0]
-    if na != nb:
-        raise ValueError(f"dimension mismatch: h0 is {na}, {name} is {nb}")
+from .sp2 import Sp2Trace, _expand
 
 
 def dm_perturbation_forward(h0, h1, n_occ, bounds=None, trace: Sp2Trace | None = None):
@@ -60,18 +32,15 @@ def dm_perturbation_forward(h0, h1, n_occ, bounds=None, trace: Sp2Trace | None =
     Runs the merged recursion: the ground-state iterate is generated on the
     fly (never stored as a sequence) while its directional derivative along
     h1 evolves next to it, sharing every branch choice. Passing `trace`
-    replays a previous run's branch sequence instead of re-deriving it.
+    replays a previous run's branch sequence and spectral bounds instead of
+    re-deriving them.
 
     Returns (d0, d1, trace).
     """
-    _check_same_kind(h0, h1, "h1")
+    replay = None
     if trace is not None:
-        bounds = trace.bounds
-        x, y, trace_out, _ = _expand(h0, n_occ, bounds, y_seed=h1, replay_sigmas=trace.sigmas)
-    else:
-        x, y, trace_out, _ = _expand(h0, n_occ, bounds, y_seed=h1)
-        _accept(_ops_for(h0), x, trace_out)
-    return x, y, trace_out
+        bounds, replay = trace.bounds, trace.sigmas
+    return _expand(h0, n_occ, bounds, y_seed=h1, replay_sigmas=replay)
 
 
 def susceptibility_forward(h0, a, n_occ, bounds=None, trace: Sp2Trace | None = None):
@@ -97,34 +66,7 @@ def susceptibility_backward(h0, a, n_occ, bounds=None):
 
     Returns (d0, chi, trace).
     """
-    _check_same_kind(h0, a, "a")
-    if isinstance(a, SparseMatrix):
-        check_symmetric(a, "a")
-    x, _, trace, stored = _expand(h0, n_occ, bounds, store_x=True)
-    ops = _ops_for(h0)
-    _accept(ops, x, trace)
-    y = a
-    for sigma, xn in zip(reversed(trace.sigmas), reversed(stored)):
-        y = ops.pair_update(sigma, y, xn)
-    chi = ops.scale(trace.beta_spec, y)
-    return x, chi, trace
-
-
-def linear_response_value(a, h1, pair: ResponsePair):
-    """Ground-state expectation and first-order response of <A>.
-
-    Returns (a0, a1_direct, a1_dual): a0 = Tr[A D0]; a1_direct = Tr[A D1]
-    when the density response is present; a1_dual = Tr[chi H1] when the
-    susceptibility is present. At least one first-order object is required.
-    """
-    if pair.d1 is None and pair.chi is None:
-        raise ValueError("ResponsePair carries neither a density response nor a susceptibility")
-    a_d = _as_dense(a)
-    h1_d = _as_dense(h1)
-    a0 = trace_product(a_d, _as_dense(pair.d0))
-    a1_direct = trace_product(a_d, _as_dense(pair.d1)) if pair.d1 is not None else None
-    a1_dual = trace_product(_as_dense(pair.chi), h1_d) if pair.chi is not None else None
-    return a0, a1_direct, a1_dual
+    return _expand(h0, n_occ, bounds, backward=a)
 
 
 def z_position_derivative(s_inv: np.ndarray, s_tau: np.ndarray, z: np.ndarray) -> np.ndarray:

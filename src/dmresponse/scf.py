@@ -22,6 +22,7 @@ import numpy as np
 from .exceptions import ConvergenceError
 from .linalg import (
     EigenDecomposition,
+    congruence_transform,
     inverse_sqrt_factor,
     sym_eigendecompose,
     symmetrize,
@@ -41,7 +42,6 @@ class ZeroKernel:
     """G(X) = 0: reduces every self-consistent solve to a single pass."""
 
     name = "zero"
-    strength = 0.0
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
@@ -74,7 +74,6 @@ class BilinearKernel:
             raise ValueError("kernel factors must be square matrices of equal shape")
         self.b = symmetrize(np.asarray(b, dtype=np.float64))
         self.c = symmetrize(np.asarray(c, dtype=np.float64))
-        self.strength = float(np.linalg.norm(self.b) * np.linalg.norm(self.c))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.b @ x @ self.c + self.c @ x @ self.b
@@ -193,9 +192,9 @@ def scf_ground_state(
     last = None
     for _ in range(cfg.max_iters):
         h_eff = symmetrize(h_core + apply_kernel(kernel, d))
-        h_perp = symmetrize(z.T @ h_eff @ z)
+        h_perp = congruence_transform(h_eff, z, "to_orthogonal")
         d_perp, trace, thermal_state = _solve_perp(h_perp, n_occ, cfg.beta_t)
-        d_new = symmetrize(z @ d_perp @ z.T)
+        d_new = congruence_transform(d_perp, z, "density_from_orthogonal")
         f = d_new - d
         residuals.append(float(np.linalg.norm(f)))
         if residuals[-1] <= cfg.eps_scf:
@@ -292,14 +291,14 @@ def scf_response(state: ScfState, seed: np.ndarray, cfg: ScfConfig | None = None
                 residuals,
             )
         applications += 1
-        x_perp = symmetrize(z.T @ x @ z)
+        x_perp = congruence_transform(x, z, "to_orthogonal")
         if beta_t is None:
             _, y_perp, _ = dm_perturbation_forward(
                 state.h0_perp, x_perp, state.n_occ, trace=state.sp2_trace
             )
         else:
             y_perp, _ = trace_neutral_derivative(state.eig_perp, x_perp, beta_t, state.mu0)
-        return symmetrize(z @ y_perp @ z.T)
+        return congruence_transform(y_perp, z, "density_from_orthogonal")
 
     def operator(v):
         e = v.reshape(seed.shape)

@@ -9,8 +9,13 @@ with each sigma_n picked so the trace of X_{n+1} lands as close as possible
 to the target occupation. The full branch record (Sp2Trace) is returned so
 any derivative expansion can replay the identical sequence.
 
-Works on dense arrays and on thresholded SparseMatrix storage; the sparse
-path makes its branch decisions from thresholded traces.
+`_expand` is the one place that runs the recursion, differentiated
+forward (a derivative iterate seeded with a perturbation or an observable)
+or backward (an observable swept back through the stored iterates). One
+arithmetic kernel per storage or precision does the matrix work and alone
+knows the storage kind: it checks the operands, bounds the spectrum and
+gates converged runs. The dense and thresholded-sparse kernels live here;
+the sparse one makes its branch decisions from thresholded traces.
 
 A run with a derivative iterate makes two independent products per step:
 the square X_n^2, which sets sigma_n and X_{n+1}, and the pair product
@@ -42,7 +47,7 @@ MAX_ITERATIONS = 120
 IDEMPOTENCY_FLOOR = 1e-15
 # ... or once it has ceased to decrease over two consecutive steps.
 
-# Acceptance thresholds for a converged dense run.
+# Acceptance thresholds for a converged dense run (see `_DenseOps.gate`).
 TRACE_TOL = 1e-8
 IDEMPOTENCY_TOL = 1e-7
 # A sparse run drops entries below tau at every step, which perturbs a
@@ -104,9 +109,22 @@ class _DenseOps:
     stall_hint = _GAP_HINT
     # BLAS-3 products already use every core (see _SparseOps).
     overlap_pair_update = False
+    # acceptance limits of a converged run (see `gate`)
+    trace_tol = TRACE_TOL
+    idempotency_tol = IDEMPOTENCY_TOL
+    tol_hint = ""
 
     def __init__(self, h0: np.ndarray):
         self.n = h0.shape[0]
+
+    def check(self, m, name: str) -> None:
+        """Raise ValueError unless m is dense and of h0's dimension."""
+        if isinstance(m, SparseMatrix):
+            raise ValueError(f"{name} must be the same storage kind as h0")
+        if m.shape != (self.n, self.n):
+            raise ValueError(f"dimension mismatch: h0 is {self.n}, {name} has shape {m.shape}")
+
+    bounds = staticmethod(gershgorin_bounds)
 
     @staticmethod
     def _flush(m: np.ndarray) -> np.ndarray:
@@ -138,17 +156,34 @@ class _DenseOps:
     def idempotency_residual(self, x, x2) -> float:
         return float(np.linalg.norm(x2 - x))
 
+    def gate(self, x, trace: Sp2Trace) -> None:
+        """Reject a converged run whose iterate misses the occupation or is
+        not idempotent."""
+        tr_err = abs(self.trace(x) - trace.n_occ)
+        if tr_err > self.trace_tol:
+            raise ConvergenceError(
+                f"SP2 occupation error |Tr[D] - N_occ| = {tr_err:.3e} exceeds "
+                f"{self.trace_tol:.3e}{self.tol_hint}",
+                trace.idempotency_log,
+            )
+        idem = self.idempotency_residual(x, self.square(x))
+        if idem > self.idempotency_tol:
+            raise ConvergenceError(
+                f"SP2 idempotency residual ||D^2 - D||_F = {idem:.3e} exceeds "
+                f"{self.idempotency_tol:.3e}{self.tol_hint}",
+                trace.idempotency_log,
+            )
 
-class _SparseOps:
+
+class _SparseOps(_DenseOps):
     """Thresholded kernel: every product and combination re-thresholds.
 
     All of them are exactly symmetric for symmetric inputs (see the
     `sparse` module), so a plain elementwise drop keeps the iterates
-    symmetric without any re-symmetrization.
+    symmetric without any re-symmetrization. Of the dense kernel it keeps
+    only the gate, held to the tau-limited accuracy of a sparse run.
     """
 
-    name = "SP2"
-    stall_hint = _GAP_HINT
     # Run pair_update on a worker thread next to the square (see `_expand`).
     # Only this kernel gains from it:
     # - scipy's CSR product runs on one core and releases the GIL. At
@@ -164,6 +199,21 @@ class _SparseOps:
     def __init__(self, h0: SparseMatrix):
         self.n = h0.dim
         self.tau = h0.tau
+        scale = self.tau * math.sqrt(self.n)
+        self.trace_tol = max(TRACE_TOL, scale)
+        self.idempotency_tol = max(IDEMPOTENCY_TOL, SPARSE_IDEMPOTENCY_FACTOR * scale)
+        self.tol_hint = f"; the drop tolerance tau = {self.tau:.3e} may be too coarse for this system"
+
+    def check(self, m, name: str) -> None:
+        """Raise ValueError unless m is sparse, of h0's dimension and exactly
+        symmetric."""
+        if not isinstance(m, SparseMatrix):
+            raise ValueError(f"{name} must be the same storage kind as h0")
+        if m.csr.shape != (self.n, self.n):
+            raise ValueError(f"dimension mismatch: h0 is {self.n}, {name} has shape {m.csr.shape}")
+        check_symmetric(m, name)
+
+    bounds = staticmethod(sp_gershgorin)
 
     def seed(self, alpha: float, beta: float, h0: SparseMatrix) -> SparseMatrix:
         import scipy.sparse as sp
@@ -211,100 +261,88 @@ def _joined(y):
     return y.result() if isinstance(y, Future) else y
 
 
-def _expand(h0, n_occ, bounds, y_seed=None, replay_sigmas=None, store_x=False, ops=None):
-    """Run the SP2 recursion, optionally coupled to a derivative iterate.
+def _expand(h0, n_occ, bounds=None, y_seed=None, replay_sigmas=None, backward=None, ops=None):
+    """Run the SP2 recursion, optionally differentiated in one direction.
 
     `ops` is the arithmetic kernel; it defaults to the dense or sparse one
-    matching h0 (the low-precision kernels live in `mixedprec`).
+    matching h0 (the low-precision kernels live in `mixedprec`). The kernel
+    checks h0, `y_seed` and `backward`, and gates every fresh run, never a
+    replay (see `_DenseOps.gate`).
 
-    Returns (x_final, y_final, trace, stored_x). With `replay_sigmas` the
-    branch sequence is consumed verbatim for exactly that many steps instead
-    of re-deriving it, which reproduces the originating run bit for bit.
+    Returns (x_final, y_final, trace). With `y_seed` the derivative iterate
+    evolves forward next to the ground-state iterate. With `backward` (an
+    observable A) every iterate is stored, and after the gate A is swept
+    back through them: y_final is then the susceptibility of A. With
+    neither, y_final is None. With `replay_sigmas` the branch sequence is
+    consumed verbatim instead of re-derived, which reproduces the
+    originating run bit for bit.
 
-    Fresh runs end with a two-step trace-neutral tail (branches +1 then -1).
-    At idempotency both branches leave the iterate fixed and preserve the
-    occupied-virtual blocks of the derivative iterate, while their product
-    annihilates its same-band blocks; without the tail a run whose very
-    first iterate is already idempotent would return the raw seed as the
-    derivative, which is wrong for any direction commuting with h0.
+    A fresh run that reaches idempotency appends a two-step trace-neutral
+    tail (branches +1 then -1) to its branch plan and finishes it as a
+    replay would. At idempotency both branches leave the iterate fixed and
+    preserve the occupied-virtual blocks of the derivative iterate, while
+    their product annihilates its same-band blocks; without the tail a run
+    whose very first iterate is already idempotent would return the raw
+    seed as the derivative, which is wrong for any direction commuting with
+    h0.
     """
     ops = ops or _ops_for(h0)
+    for m, name in ((h0, "h0"), (y_seed, "seed"), (backward, "a")):
+        if m is not None:
+            ops.check(m, name)
     n = ops.n
-    if isinstance(h0, SparseMatrix):
-        check_symmetric(h0, "h0")
-        if y_seed is not None:
-            check_symmetric(y_seed, "seed")
     if not 1 <= n_occ <= n - 1:
         raise ValueError(f"n_occ must lie in [1, {n - 1}], got {n_occ}")
     if bounds is None:
-        bounds = sp_gershgorin(h0) if isinstance(h0, SparseMatrix) else gershgorin_bounds(h0)
+        bounds = ops.bounds(h0)
     alpha, beta = _init_scalars(bounds)
 
     x = ops.seed(alpha, beta, h0)
     y = ops.scale(beta, y_seed) if y_seed is not None else None
     floor = IDEMPOTENCY_FLOOR * n
+    target = float(n_occ)
 
+    plan = replay_sigmas
     sigmas: list[int] = []
     log: list[float] = []
     stored: list = []
-    target = float(n_occ)
     # With a lane, y is the Future of the derivative iterate in flight.
     lane = None
     if y is not None and ops.overlap_pair_update:
         lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sp2-pair-update")
-
-    def apply_step(sigma, x, y, x2):
-        if store_x:
-            stored.append(x)
-        if y is not None:
-            if lane is None:
-                y = ops.pair_update(sigma, y, x)
-            else:
-                y = lane.submit(ops.pair_update, sigma, _joined(y), x)
-        x = ops.combine(sigma, x, x2)
-        sigmas.append(sigma)
-        return x, y
-
     try:
-        if replay_sigmas is not None:
-            for sigma in replay_sigmas:
-                x2 = ops.square(x)
-                log.append(abs(ops.trace(x2) - ops.trace(x)))
-                x, y = apply_step(sigma, x, y, x2)
-                del x2  # after sigma = -1, X_n^2 is garbage during the next square
-        else:
-            converged = False
-            x2 = None
-            for step in range(MAX_ITERATIONS + 1):
-                x2 = ops.square(x)
-                tr_x = ops.trace(x)
-                tr_x2 = ops.trace(x2)
-                err = abs(tr_x2 - tr_x)
-                log.append(err)
-                if err <= floor or (len(log) >= 3 and log[-1] >= log[-2] >= log[-3]):
-                    converged = True
-                    break
-                if step == MAX_ITERATIONS:
-                    break
-                d_plus = abs(tr_x2 - target)
-                d_minus = abs(2.0 * tr_x - tr_x2 - target)
-                sigma = 1 if d_plus <= d_minus else -1
-                x, y = apply_step(sigma, x, y, x2)
-                del x2
-
-            if not converged:
+        while plan is None or len(sigmas) < len(plan):
+            x2 = ops.square(x)
+            tr_x = ops.trace(x)
+            tr_x2 = ops.trace(x2)
+            log.append(abs(tr_x2 - tr_x))
+            if plan is not None:
+                sigma = plan[len(sigmas)]
+            elif log[-1] <= floor or (len(log) >= 3 and log[-1] >= log[-2] >= log[-3]):
+                # the first tail step reuses this square, so the per-step
+                # multiply count stays uniform
+                plan = (*sigmas, 1, -1)
+                sigma = 1
+            elif len(sigmas) == MAX_ITERATIONS:
                 raise ConvergenceError(
                     f"{ops.name} did not converge within {MAX_ITERATIONS} iterations "
                     f"(final idempotency error {log[-1]:.3e}); {ops.stall_hint}",
                     log,
                 )
-
-            # Derivative-flattening tail; the first step reuses the square from
-            # the detection pass, so the per-step multiply count stays uniform.
-            x, y = apply_step(1, x, y, x2)
-            x2 = ops.square(x)
-            log.append(abs(ops.trace(x2) - ops.trace(x)))
-            x, y = apply_step(-1, x, y, x2)
+            else:
+                d_plus = abs(tr_x2 - target)
+                d_minus = abs(2.0 * tr_x - tr_x2 - target)
+                sigma = 1 if d_plus <= d_minus else -1
+            if backward is not None:
+                stored.append(x)
+            if y is not None:
+                if lane is None:
+                    y = ops.pair_update(sigma, y, x)
+                else:
+                    y = lane.submit(ops.pair_update, sigma, _joined(y), x)
+            x = ops.combine(sigma, x, x2)
+            sigmas.append(sigma)
+            del x2  # after sigma = -1, X_n^2 is garbage during the next square
         y = _joined(y)
     finally:
         if lane is not None:
@@ -320,35 +358,15 @@ def _expand(h0, n_occ, bounds, y_seed=None, replay_sigmas=None, store_x=False, o
         bounds=bounds,
         n_occ=n_occ,
     )
-    return x, y, trace, stored
-
-
-def _accept(ops, x, trace):
-    """Reject runs whose converged iterate misses the occupation or is not
-    idempotent.
-
-    Sparse runs are held to their tau-limited accuracy, which grows like
-    tau * sqrt(N) (see SPARSE_IDEMPOTENCY_FACTOR), not to the dense limits.
-    """
-    trace_tol, idem_tol = TRACE_TOL, IDEMPOTENCY_TOL
-    hint = ""
-    if isinstance(ops, _SparseOps):
-        scale = ops.tau * math.sqrt(ops.n)
-        trace_tol = max(TRACE_TOL, scale)
-        idem_tol = max(IDEMPOTENCY_TOL, SPARSE_IDEMPOTENCY_FACTOR * scale)
-        hint = f"; the drop tolerance tau = {ops.tau:.3e} may be too coarse for this system"
-    tr_err = abs(ops.trace(x) - trace.n_occ)
-    if tr_err > trace_tol:
-        raise ConvergenceError(
-            f"SP2 occupation error |Tr[D] - N_occ| = {tr_err:.3e} exceeds {trace_tol:.3e}{hint}",
-            trace.idempotency_log,
-        )
-    idem = ops.idempotency_residual(x, ops.square(x))
-    if idem > idem_tol:
-        raise ConvergenceError(
-            f"SP2 idempotency residual ||D^2 - D||_F = {idem:.3e} exceeds {idem_tol:.3e}{hint}",
-            trace.idempotency_log,
-        )
+    if replay_sigmas is None:
+        ops.gate(x, trace)
+    if backward is not None:
+        # the derivative-scale factor goes on the result, not the seed
+        y = backward
+        for sigma, xn in zip(reversed(sigmas), reversed(stored)):
+            y = ops.pair_update(sigma, y, xn)
+        y = ops.scale(beta, y)
+    return x, y, trace
 
 
 def sp2_ground_state(h0, n_occ: int, bounds: SpectralBounds | None = None):
@@ -368,6 +386,5 @@ def sp2_ground_state(h0, n_occ: int, bounds: SpectralBounds | None = None):
     (d0, trace) : density matrix of the same kind as h0, and the Sp2Trace
     needed to replay the expansion for derivative calculations.
     """
-    x, _, trace, _ = _expand(h0, n_occ, bounds)
-    _accept(_ops_for(h0), x, trace)
+    x, _, trace = _expand(h0, n_occ, bounds)
     return x, trace

@@ -53,9 +53,6 @@ class SparseMatrix:
     def trace(self) -> float:
         return float(self.csr.diagonal().sum())
 
-    def frobenius(self) -> float:
-        return float(np.sqrt(np.sum(self.csr.data**2)))
-
     def max_nnz_per_row(self) -> int:
         return int(np.max(np.diff(self.csr.indptr))) if self.dim else 0
 

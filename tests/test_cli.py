@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dmresponse import cli, sparse
+from dmresponse import cli, response, sp2, sparse
 from dmresponse.cli import main
 from dmresponse.mmio import write_matrix_market
 from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian, overlap_chain_matrices
@@ -87,6 +87,14 @@ class TestGroundState:
         a0_gs, a0_resp = gs["results"]["a0"], resp["results"]["a0"]
         assert abs(a0_gs - a0_resp) <= 1e-10 * abs(a0_resp)
         assert abs(gs["results"]["trace_d0"] - 20.0) <= 1e-8
+
+    @pytest.mark.parametrize("precision, per_step", [("f32", 1), ("split16", 2)])
+    def test_low_precision_ground_state_skips_derivative_lane(self, tmp_path, precision, per_step):
+        argv = ["ground-state", "--kind", "gapped_random", "--size", "24", "--gap", "1.6"]
+        code, rep = run_cli(argv + ["--precision", precision], tmp_path)
+        assert code == 0
+        # squares only: no pair update is paid for a response never reported
+        assert rep["results"]["mult_count"] == per_step * rep["results"]["expansion"]["m_steps"]
 
 
 class TestRespond:
@@ -433,12 +441,23 @@ class TestAuditAndBenchmark:
         assert code == 0
         assert rep["results"]["max_rel_deviation"] <= 1e-7
 
-    def test_benchmark_reports_sizes_and_ratios(self, tmp_path):
+    def test_benchmark_reports_sizes_and_ratios(self, tmp_path, monkeypatch):
+        expanded = []
+        real_expand = sp2._expand
+
+        def spy(h0, *args, **kwargs):
+            expanded.append(h0.dim)
+            return real_expand(h0, *args, **kwargs)
+
+        # the routes call the engine by the name they imported
+        monkeypatch.setattr(sp2, "_expand", spy)
+        monkeypatch.setattr(response, "_expand", spy)
         code, rep = run_cli(
             ["benchmark", "--kind", "chain", "--sizes", "100,200", "--tau", "1e-6"],
             tmp_path,
         )
         assert code == 0
+        assert expanded == [100, 200]  # one expansion per size
         assert [e["n"] for e in rep["results"]["per_size"]] == [100, 200]
         assert "200/100" in rep["timing"]["time_ratios"]
         assert all(e["nnz_d0"] > 0 for e in rep["results"]["per_size"])

@@ -9,10 +9,8 @@ from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import gershgorin_bounds, trace_product
 from dmresponse.mixedprec import (
     BINARY16_MAX,
-    MultCounter,
     SplitMatrix,
     _round16,
-    mixed_gemm,
     mixed_response_pipeline,
     round_binary16,
     single_precision_pipeline,
@@ -188,44 +186,6 @@ class TestSplit:
         bad = np.full((2, 2), value, dtype=np.float32)
         with pytest.raises(ValueError, match=message):
             SplitMatrix(high=good, low=bad)
-
-
-class TestMixedGemm:
-    def test_identity_exact(self):
-        ident = split(np.eye(8))
-        out = mixed_gemm(ident, ident, symmetric_same=True)
-        np.testing.assert_allclose(out, np.eye(8), atol=0)
-
-    def test_small_integers_exact(self, rng):
-        x = rng.integers(-2, 3, (8, 8)).astype(np.float64)
-        y = rng.integers(-2, 3, (8, 8)).astype(np.float64)
-        out = mixed_gemm(split(x), split(y))
-        np.testing.assert_allclose(out, x @ y, atol=0)
-
-    def test_random_accuracy_and_low_low_contribution(self, rng):
-        x = random_symmetric(rng, 64, scale=0.3)
-        y = random_symmetric(rng, 64, scale=0.3)
-        np.clip(x, -1, 1, out=x)
-        np.clip(y, -1, 1, out=y)
-        ref = x @ y
-        out = mixed_gemm(split(x), split(y))
-        err = np.linalg.norm(out - ref) / np.linalg.norm(ref)
-        assert err <= 5e-3
-        out_ll = mixed_gemm(split(x), split(y), include_low_low=True)
-        err_ll = np.linalg.norm(out_ll - ref) / np.linalg.norm(ref)
-        assert abs(err - err_ll) < 0.10 * err
-
-    def test_counter_counts_elementary_products(self, rng):
-        x = split(random_symmetric(rng, 8))
-        c = MultCounter()
-        mixed_gemm(x, x, symmetric_same=True, counter=c)
-        assert c.count == 2
-        mixed_gemm(x, x, counter=c)
-        assert c.count == 5
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            mixed_gemm(split(np.eye(3)), split(np.eye(4)))
 
 
 class TestMixedPipeline:

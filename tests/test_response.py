@@ -10,9 +10,7 @@ from dmresponse.linalg import (
 from dmresponse.models import gapped_random_hamiltonian
 from dmresponse.oracles import finite_difference_response, projector_derivative_exact
 from dmresponse.response import (
-    ResponsePair,
     dm_perturbation_forward,
-    linear_response_value,
     observable_position_derivative,
     orthogonal_hamiltonian_derivative,
     susceptibility_backward,
@@ -119,42 +117,6 @@ class TestSusceptibilityBackward:
         _, chi_f, _ = susceptibility_forward(h0, a, n_occ)
         _, chi_b, _ = susceptibility_backward(h0, a, n_occ)
         assert np.linalg.norm(chi_f - chi_b) <= 1e-9 * max(1.0, np.linalg.norm(chi_f))
-
-
-class TestLinearResponseValue:
-    def test_zero_observable(self, rng):
-        n = 8
-        h0 = gapped_random_hamiltonian(n, 1.0, 4, seed=51)
-        h1 = random_symmetric(rng, n)
-        d0, d1, _ = dm_perturbation_forward(h0, h1, 4)
-        a0, a1_direct, a1_dual = linear_response_value(
-            np.zeros((n, n)), h1, ResponsePair(d0=d0, d1=d1)
-        )
-        assert a0 == 0.0 and a1_direct == 0.0 and a1_dual is None
-
-    def test_zero_perturbation(self, rng):
-        n = 8
-        h0 = gapped_random_hamiltonian(n, 1.0, 4, seed=52)
-        a = random_symmetric(rng, n)
-        d0, chi, _ = susceptibility_forward(h0, a, 4)
-        _, a1_direct, a1_dual = linear_response_value(
-            a, np.zeros((n, n)), ResponsePair(d0=d0, chi=chi)
-        )
-        assert a1_direct is None and a1_dual == 0.0
-
-    def test_2x2_both_routes(self):
-        h0 = np.diag([0.0, 2.0])
-        w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        d0, d1, tr = dm_perturbation_forward(h0, w, 1)
-        _, chi, _ = susceptibility_forward(h0, w, 1, trace=tr)
-        a0, a1_direct, a1_dual = linear_response_value(w, w, ResponsePair(d0=d0, d1=d1, chi=chi))
-        assert abs(a1_direct + 1.0) <= 1e-10
-        assert abs(a1_dual + 1.0) <= 1e-10
-        assert abs(a0) <= 1e-10
-
-    def test_requires_some_first_order_object(self):
-        with pytest.raises(ValueError, match="neither"):
-            linear_response_value(np.eye(2), np.eye(2), ResponsePair(d0=np.eye(2)))
 
 
 class TestZPositionDerivative:

@@ -4,12 +4,16 @@ import threading
 import numpy as np
 import pytest
 
-from dmresponse import sp2
+from dmresponse import mixedprec, sp2
 from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import SpectralBounds, sym_eigendecompose, trace_product
 from dmresponse.mixedprec import mixed_response_pipeline, single_precision_pipeline
 from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
-from dmresponse.response import dm_perturbation_forward, susceptibility_backward
+from dmresponse.response import (
+    dm_perturbation_forward,
+    susceptibility_backward,
+    susceptibility_forward,
+)
 from dmresponse.sp2 import sp2_ground_state
 from dmresponse.sparse import SparseMatrix, sparsify
 
@@ -223,13 +227,13 @@ class TestDerivativeLane:
     def _check_overlapped_equals_inline(model):
         hs, h1 = _sparse_problem(model)
         n_occ = hs.dim // 2
-        x, y, trace, _ = sp2._expand(hs, n_occ, None, y_seed=h1)
-        xi, yi, trace_i, _ = sp2._expand(hs, n_occ, None, y_seed=h1, ops=_InlineSparseOps(hs))
+        x, y, trace = sp2._expand(hs, n_occ, None, y_seed=h1)
+        xi, yi, trace_i = sp2._expand(hs, n_occ, None, y_seed=h1, ops=_InlineSparseOps(hs))
         assert trace == trace_i
         assert _same_bits(x, xi) and _same_bits(y, yi)
         replay = dict(y_seed=h1, replay_sigmas=trace.sigmas)
-        xr, yr, trace_r, _ = sp2._expand(hs, n_occ, trace.bounds, **replay)
-        xri, yri, trace_ri, _ = sp2._expand(
+        xr, yr, trace_r = sp2._expand(hs, n_occ, trace.bounds, **replay)
+        xri, yri, trace_ri = sp2._expand(
             hs, n_occ, trace.bounds, ops=_InlineSparseOps(hs), **replay
         )
         assert trace_r == trace_ri
@@ -299,3 +303,88 @@ class TestDerivativeLane:
         sp2_ground_state(hs, hs.dim // 2)
         susceptibility_backward(hs, hs, hs.dim // 2)
         assert thread_starts == []
+
+
+# kernel name -> (kernel class, dense or sparse problem)
+KERNELS = {
+    "dense": (sp2._DenseOps, "dense"),
+    "sparse": (sp2._SparseOps, "sparse"),
+    "f32": (mixedprec._F32Ops, "dense"),
+    "split16": (mixedprec._Split16Ops, "dense"),
+}
+
+
+def _kernel_problem(kernel):
+    """(h0, a symmetric seed, kernel class, dimension) for one `_expand`
+    kernel."""
+    ops, storage = KERNELS[kernel]
+    if storage == "sparse":
+        hs, h1 = _sparse_problem("chain")
+        return hs, h1, ops, hs.dim
+    h = gapped_random_hamiltonian(32, 1.6, 16, seed=95)
+    return h, gapped_random_hamiltonian(32, 1.0, 16, seed=96), ops, 32
+
+
+def _bits(m):
+    if isinstance(m, SparseMatrix):
+        return [m.csr.indptr.tobytes(), m.csr.indices.tobytes(), m.csr.data.tobytes()]
+    return [m.dtype.str, m.tobytes()]
+
+
+class TestEngineBoundary:
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("role, name", [("y_seed", "seed"), ("backward", "a")])
+    def test_operand_of_wrong_kind_or_dimension_rejected(self, kernel, role, name):
+        h, m, ops, n = _kernel_problem(kernel)
+        if isinstance(m, SparseMatrix):
+            other_kind = m.to_dense()
+            smaller = sparsify(other_kind[:-1, :-1], m.tau)
+        else:
+            other_kind = sparsify(m, 0.0)
+            smaller = m[:-1, :-1]
+        with pytest.raises(ValueError, match=f"^{name} must be the same storage kind as h0"):
+            sp2._expand(h, n // 2, None, ops=ops(h), **{role: other_kind})
+        with pytest.raises(ValueError, match=f"dimension mismatch: h0 is {n}, {name} has shape"):
+            sp2._expand(h, n // 2, None, ops=ops(h), **{role: smaller})
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_replay_reproduces_fresh_run(self, kernel):
+        h, seed, ops, n = _kernel_problem(kernel)
+        n_occ = n // 2
+        fresh_ops, replay_ops = ops(h), ops(h)
+        x, y, trace = sp2._expand(h, n_occ, None, y_seed=seed, ops=fresh_ops)
+        xr, yr, trace_r = sp2._expand(
+            h, n_occ, trace.bounds, y_seed=seed, replay_sigmas=trace.sigmas, ops=replay_ops
+        )
+        # sigmas, idempotency log, bounds and transform scalars
+        assert trace_r == trace
+        assert _bits(xr) == _bits(x) and _bits(yr) == _bits(y)
+        if kernel in ("f32", "split16"):
+            assert replay_ops.counter.count == fresh_ops.counter.count
+
+    def test_gate_runs_once_per_fresh_run_never_on_replay(self, monkeypatch):
+        gated = []
+        real_gate = sp2._DenseOps.gate
+
+        def gate(self, x, trace):
+            gated.append(type(self).__name__)
+            real_gate(self, x, trace)
+
+        # the sparse kernel inherits the dense kernel's gate
+        monkeypatch.setattr(sp2._DenseOps, "gate", gate)
+        for kernel in ("dense", "sparse"):
+            h, m, _, n = _kernel_problem(kernel)
+            n_occ = n // 2
+            _, trace = sp2_ground_state(h, n_occ)
+            dm_perturbation_forward(h, m, n_occ)
+            susceptibility_forward(h, m, n_occ)
+            susceptibility_backward(h, m, n_occ)
+            assert gated == [KERNELS[kernel][0].__name__] * 4
+            gated.clear()
+            dm_perturbation_forward(h, m, n_occ, trace=trace)
+            susceptibility_forward(h, m, n_occ, trace=trace)
+            assert gated == []
+        h, m, _, _ = _kernel_problem("f32")
+        single_precision_pipeline(h, m, 16)
+        mixed_response_pipeline(h, m, 16)
+        assert gated == []
