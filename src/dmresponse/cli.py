@@ -475,15 +475,15 @@ def _run_benchmark(cfg: RunConfig, route: str) -> dict:
     per_size = []
     rng = np.random.default_rng(cfg.seed)
     for n in cfg.sizes:
+        # validates n and gap for either kind
         spec = models.ModelSpec(kind=kind, n=n, gap=cfg.gap, seed=cfg.seed)
-        h, _ = models.generate_model(spec)
         n_occ = _resolve_n_occ(cfg, n)
-        a = np.zeros((n, n))
-        np.fill_diagonal(a, rng.uniform(-1.0, 1.0, n))
-        h1 = models.chain_hamiltonian(n, cfg.gap)
-        hs = sparse.sparsify(h, tau)
-        a_s = sparse.sparsify(a, tau)
-        h1_s = sparse.sparsify(h1, tau)
+        # A is diagonal and H1 the chain itself, so both (and a chain H0) are
+        # built from their diagonals, with no N x N array
+        onsite, hopping = models.chain_diagonals(n, cfg.gap)
+        h1_s = sparse.from_diagonals([hopping, onsite, hopping], [-1, 0, 1], tau)
+        a_s = sparse.from_diagonals([rng.uniform(-1.0, 1.0, n)], [0], tau)
+        hs = h1_s if kind == "chain" else sparse.sparsify(models.generate_model(spec)[0], tau)
         t0 = time.perf_counter()
         d0, chi, trace = response.susceptibility_forward(hs, a_s, n_occ)
         wall = time.perf_counter() - t0

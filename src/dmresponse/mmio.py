@@ -4,11 +4,14 @@ Two pinned formats: "matrix array real general" (dense, column-major body,
 symmetrized on load with an asymmetry check) and "matrix coordinate real
 symmetric" (1-based indices, lower triangle stored, each entry at most
 once, mirrored on load into sparse storage built straight from the entry
-list). Values are written with 17 significant digits so a write/read round
-trip reproduces doubles bit for bit.
+list). Both reject non-finite values on the line that holds them. Values
+are written with 17 significant digits so a write/read round trip
+reproduces doubles bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -123,6 +126,8 @@ def read_matrix_market(path) -> np.ndarray | SparseMatrix:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise MatrixMarketError(path, no, f"bad entry {ln!r}") from None
+        if not math.isfinite(v):
+            raise MatrixMarketError(path, no, f"non-finite value in entry {ln!r}")
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise MatrixMarketError(path, no, f"index ({i}, {j}) outside {rows}x{cols}")
         if j > i:

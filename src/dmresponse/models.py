@@ -44,15 +44,20 @@ class ModelSpec:
                 raise ValueError("bandwidth must exceed gap/2")
 
 
+def chain_diagonals(n: int, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """(on-site, hopping) diagonals of the dimerized chain: on-site energies
+    alternating +gap/2, -gap/2, hopping -1 on both off-diagonals."""
+    return np.where(np.arange(n) % 2 == 0, gap / 2.0, -gap / 2.0), np.full(n - 1, -1.0)
+
+
 def chain_hamiltonian(n: int, gap: float) -> np.ndarray:
-    """Dimerized nearest-neighbor chain: hopping -1, on-site energies
-    alternating +gap/2, -gap/2. Opens a gap of `gap` at half filling."""
-    h = np.zeros((n, n))
-    onsite = np.where(np.arange(n) % 2 == 0, gap / 2.0, -gap / 2.0)
-    np.fill_diagonal(h, onsite)
+    """Dimerized nearest-neighbor chain (see chain_diagonals). Opens a gap
+    of `gap` at half filling."""
+    onsite, hopping = chain_diagonals(n, gap)
+    h = np.diag(onsite)
     idx = np.arange(n - 1)
-    h[idx, idx + 1] = -1.0
-    h[idx + 1, idx] = -1.0
+    h[idx, idx + 1] = hopping
+    h[idx + 1, idx] = hopping
     return h
 
 

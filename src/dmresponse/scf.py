@@ -6,10 +6,12 @@ congruence to the orthonormal basis, spectral projection or Fermi smearing,
 congruence back. The ground state is its fixed point, reached by Anderson
 (DIIS) mixing of the density (Anderson, J. ACM 12, 547, 1965; Pulay, Chem.
 Phys. Lett. 73, 393, 1980). A first-order response solves the linear
-coupled-perturbed equation (I - L G) y = L(seed), with L the derivative of
-the frozen ground state, by GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
-7, 856, 1986). The susceptibility is the density response with the
-observable in the seed position.
+coupled-perturbed equation y = L(seed + G(y)), with L the derivative of the
+frozen ground state, by the same mixer; on a linear fixed point Anderson
+mixing is a Krylov method, essentially the generalized minimal residual
+method (Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011). The
+susceptibility is the density response with the observable in the seed
+position.
 """
 
 from __future__ import annotations
@@ -31,15 +33,15 @@ from .response import dm_perturbation_forward
 from .sp2 import Sp2Trace, sp2_ground_state
 from .thermal import _fermi_eigenbasis, trace_neutral_derivative
 
-# sweep-to-sweep (iterate, residual) differences the Anderson ground-state
-# mixer extrapolates over
+# image-to-image (iterate, residual) differences the Anderson mixer
+# extrapolates over
 ANDERSON_DEPTH = 8
-# Arnoldi steps per GMRES start in the response solve; each holds one N^2 vector
-GMRES_RESTART = 20
 
 
 class ZeroKernel:
-    """G(X) = 0: reduces every self-consistent solve to a single pass."""
+    """G(X) = 0: the bare problem. The ground state takes three sweeps (the
+    second Anderson step lands on the fixed point), a response two
+    derivative applications (L(seed) and its unchanged image)."""
 
     name = "zero"
 
@@ -96,11 +98,12 @@ def apply_kernel(kernel, x: np.ndarray) -> np.ndarray:
 class ScfConfig:
     """Self-consistency parameters.
 
-    c_mix is the step weight of the Anderson ground-state mixer: the share of
-    each fresh residual D_new - D added to the extrapolated density (1 takes
-    it whole). eps_scf bounds the Frobenius norm of the final residual of
-    both solves. max_iters caps the ground-state sweeps, and separately the
-    derivative applications of each response solve. beta_t, when set,
+    c_mix is the step weight of the Anderson mixer both solves share: the
+    share of each fresh residual (image minus iterate) added to the
+    extrapolated iterate (1 takes it whole). eps_scf bounds the Frobenius
+    norm of the final residual of both solves. max_iters caps the
+    ground-state sweeps, and separately the derivative applications of each
+    response solve. beta_t, when set,
     selects the fractional-occupation path at that inverse temperature.
     """
 
@@ -126,7 +129,6 @@ class ScfState:
     solve replays: the orthonormal-basis Hamiltonian, its expansion record
     (zero T) or eigendecomposition (finite T), and the chemical potential."""
 
-    h_core: np.ndarray
     z: np.ndarray
     kernel: object
     n_occ: int
@@ -141,21 +143,11 @@ class ScfState:
     residuals: tuple[float, ...] = field(default=())
 
 
-def _solve_perp(h_perp, n_occ, beta_t):
-    """Density matrix in the orthonormal basis: spectral projection at zero
-    temperature, Fermi smearing otherwise."""
-    if beta_t is None:
-        d_perp, trace = sp2_ground_state(h_perp, n_occ)
-        return d_perp, trace, None
-    d_perp, eig, mu0 = _fermi_eigenbasis(h_perp, beta_t, float(n_occ))
-    return d_perp, None, (eig, mu0)
-
-
 def _anderson_step(d, f, diffs: deque, c_mix: float) -> np.ndarray:
-    """Next density from the current one and its residual f = D_new - D.
+    """Next iterate from the current one and its residual f = image - iterate.
 
     Anderson (DIIS) extrapolation over `diffs`, the (iterate, residual)
-    differences of the last few sweeps: the combination whose residual has
+    differences of the last few images: the combination whose residual has
     the least Frobenius norm is stepped along c_mix times that residual.
     Without differences it is plain linear mixing. Every operand is
     symmetric, so the result is too.
@@ -169,6 +161,28 @@ def _anderson_step(d, f, diffs: deque, c_mix: float) -> np.ndarray:
     return step
 
 
+def _anderson(image, x, cfg: ScfConfig, cap: int, what):
+    """Fixed point x = image(x) by Anderson mixing, from the given x and
+    within `cap` images. image(x) returns (x_new, extra); each fresh image
+    both checks x (||x_new - x||_F <= eps_scf) and gives the next step's
+    residual. Returns (x_new, extra, residual history), or raises
+    ConvergenceError(what(history), history)."""
+    residuals: list[float] = []
+    last = None
+    diffs: deque = deque(maxlen=ANDERSON_DEPTH)
+    for _ in range(cap):
+        x_new, extra = image(x)
+        f = x_new - x
+        residuals.append(float(np.linalg.norm(f)))
+        if residuals[-1] <= cfg.eps_scf:
+            return x_new, extra, residuals
+        if last is not None:
+            diffs.append((x - last[0], f - last[1]))
+        last = (x, f)
+        x = _anderson_step(x, f, diffs, cfg.c_mix)
+    raise ConvergenceError(what(residuals), residuals)
+
+
 def scf_ground_state(
     h_core: np.ndarray,
     s: np.ndarray | None,
@@ -179,52 +193,42 @@ def scf_ground_state(
     """Self-consistent ground state of H_eff = H_core + G(D).
 
     Each sweep builds D_new from H_eff(D); Anderson mixing over the last
-    ANDERSON_DEPTH sweep-to-sweep differences picks the next D. Converged when the residual
-    ||D_new - D||_F falls to eps_scf; the state is then the one that sweep
-    built at the converged D. Raises ConvergenceError with the residual
-    history otherwise.
+    ANDERSON_DEPTH sweeps picks the next D, from D = 0. Converged when the
+    residual ||D_new - D||_F falls to eps_scf; the state is then the one that
+    sweep built at the converged D. Raises ConvergenceError with the residual
+    history when cfg.max_iters sweeps do not get there.
     """
-    n = h_core.shape[0]
-    z = inverse_sqrt_factor(s) if s is not None else np.eye(n)
-    d = np.zeros_like(h_core)
-    residuals: list[float] = []
-    diffs: deque = deque(maxlen=ANDERSON_DEPTH)
-    last = None
-    for _ in range(cfg.max_iters):
+    z = inverse_sqrt_factor(s) if s is not None else np.eye(h_core.shape[0])
+
+    def sweep(d):
         h_eff = symmetrize(h_core + apply_kernel(kernel, d))
         h_perp = congruence_transform(h_eff, z, "to_orthogonal")
-        d_perp, trace, thermal_state = _solve_perp(h_perp, n_occ, cfg.beta_t)
+        # spectral projection at zero temperature, Fermi smearing otherwise
+        if cfg.beta_t is None:
+            d_perp, trace = sp2_ground_state(h_perp, n_occ)
+            eig_perp = mu0 = None
+        else:
+            d_perp, eig_perp, mu0 = _fermi_eigenbasis(h_perp, cfg.beta_t, float(n_occ))
+            trace = None
         d_new = congruence_transform(d_perp, z, "density_from_orthogonal")
-        f = d_new - d
-        residuals.append(float(np.linalg.norm(f)))
-        if residuals[-1] <= cfg.eps_scf:
-            break
-        if last is not None:
-            diffs.append((d - last[0], f - last[1]))
-        last = (d, f)
-        d = _anderson_step(d, f, diffs, cfg.c_mix)
-    else:
-        raise ConvergenceError(
-            f"SCF did not converge in {cfg.max_iters} iterations "
-            f"(last residual {residuals[-1]:.3e})",
-            residuals,
-        )
+        return d_new, (h_eff, h_perp, d_perp, trace, eig_perp, mu0)
 
+    def what(r):
+        return f"SCF did not converge in {cfg.max_iters} iterations (last residual {r[-1]:.3e})"
+
+    d0, last_sweep, residuals = _anderson(sweep, np.zeros_like(h_core), cfg, cfg.max_iters, what)
     # The last sweep is the consistent final state: H_eff at the converged
     # density and the density it builds.
-    if thermal_state is None:
+    h_eff, h_perp, d_perp, trace, eig_perp, mu0 = last_sweep
+    if cfg.beta_t is None:
         eig = sym_eigendecompose(h_perp)
         mu0 = 0.5 * (float(eig.values[n_occ - 1]) + float(eig.values[n_occ]))
-        eig_perp = None
-    else:
-        eig_perp, mu0 = thermal_state
     return ScfState(
-        h_core=h_core,
         z=z,
         kernel=kernel,
         n_occ=n_occ,
         cfg=cfg,
-        d0=d_new,
+        d0=d0,
         h_eff=h_eff,
         h0_perp=h_perp,
         d0_perp=d_perp,
@@ -240,10 +244,10 @@ class ScfResponse:
     """Self-consistent first-order response to one seed, with its solve's
     record.
 
-    residuals holds the fresh-image residual ||L(seed + G(y)) - y||_F at each
-    GMRES start and at the result (the last entry), and GMRES's own residual
-    estimate after each Arnoldi step between them. applications counts the
-    derivative applications L(.), the quantity ScfConfig.max_iters caps.
+    residuals holds the fresh-image residual ||L(seed + G(y)) - y||_F of each
+    iterate y, the result's last. applications counts the derivative
+    applications L(.), the quantity ScfConfig.max_iters caps: the start
+    L(seed) and one per fresh image, so len(residuals) + 1.
     """
 
     response: np.ndarray
@@ -258,39 +262,22 @@ def scf_response(state: ScfState, seed: np.ndarray, cfg: ScfConfig | None = None
 
     With L the derivative of the frozen ground state (the replayed SP2
     expansion at zero temperature, the trace-neutral Fermi derivative
-    otherwise, each between the congruences with Z), the response y solves
-    the linear equation (I - L G) y = L(seed). GMRES (restarted every
-    GMRES_RESTART Arnoldi steps) solves it from y = L(seed). Every GMRES
-    start and the result are checked by one explicit application, the fresh
-    image L(seed + G(y)); that image is returned once it lies within eps_scf
-    of y. Raises ConvergenceError with the residual history when cfg.max_iters
-    applications do not get there.
+    otherwise, each between the congruences with Z), the response is the
+    fixed point y = L(seed + G(y)), reached from y = L(seed) by the ground
+    state's Anderson mixer. The fresh image is returned once it lies within
+    eps_scf of y. Raises ConvergenceError with the residual history when
+    cfg.max_iters applications do not get there.
 
-    cfg (default: the state's) supplies eps_scf and max_iters; the
+    cfg (default: the state's) supplies c_mix, eps_scf and max_iters; the
     temperature is always the one the state was built at.
     """
-    # imported here: scipy.sparse.linalg adds about 0.1 s to every import of
-    # the package, and only this solve uses it
-    from scipy.sparse.linalg import LinearOperator, gmres
-
     cfg = state.cfg if cfg is None else cfg
     if seed.shape != state.d0.shape:
         raise ValueError(f"dimension mismatch: {seed.shape} vs {state.d0.shape}")
     z = state.z
     beta_t = state.cfg.beta_t
-    residuals: list[float] = []
-    applications = 0
 
     def derivative(x):
-        nonlocal applications
-        if applications == cfg.max_iters:
-            raise ConvergenceError(
-                f"coupled-perturbed solve did not converge in {cfg.max_iters} "
-                f"derivative applications (residual history {len(residuals)} long"
-                + (f", last {residuals[-1]:.3e})" if residuals else ")"),
-                residuals,
-            )
-        applications += 1
         x_perp = congruence_transform(x, z, "to_orthogonal")
         if beta_t is None:
             _, y_perp, _ = dm_perturbation_forward(
@@ -300,34 +287,18 @@ def scf_response(state: ScfState, seed: np.ndarray, cfg: ScfConfig | None = None
             y_perp, _ = trace_neutral_derivative(state.eig_perp, x_perp, beta_t, state.mu0)
         return congruence_transform(y_perp, z, "density_from_orthogonal")
 
-    def operator(v):
-        e = v.reshape(seed.shape)
-        return (e - derivative(apply_kernel(state.kernel, e))).ravel()
-
-    size = seed.size
-    op = LinearOperator((size, size), matvec=operator, dtype=np.float64)
-    y = derivative(seed)
-    while True:
-        y_new = derivative(seed + apply_kernel(state.kernel, y))
-        r = y_new - y
-        r_norm = float(np.linalg.norm(r))
-        residuals.append(r_norm)
-        if r_norm <= cfg.eps_scf:
-            return ScfResponse(y_new, tuple(residuals), applications)
-        # GMRES solves (I - L G) e = r for the correction; y + e is checked
-        # by its fresh image, and a check failed only by rounding restarts
-        # GMRES from there.
-        e, _ = gmres(
-            op,
-            r.ravel(),
-            rtol=0.0,
-            atol=cfg.eps_scf,
-            restart=GMRES_RESTART,
-            maxiter=1,
-            callback=lambda rel: residuals.append(float(rel) * r_norm),
-            callback_type="pr_norm",
+    def what(r):
+        return (
+            f"coupled-perturbed solve did not converge in {cfg.max_iters} derivative "
+            f"applications (residual history {len(r)} long"
+            + (f", last {r[-1]:.3e})" if r else ")")
         )
-        y = y + e.reshape(seed.shape)
+
+    def image(y):
+        return derivative(seed + apply_kernel(state.kernel, y)), None
+
+    y, _, residuals = _anderson(image, derivative(seed), cfg, cfg.max_iters - 1, what)
+    return ScfResponse(y, tuple(residuals), len(residuals) + 1)
 
 
 def scf_dm_response(state: ScfState, h1: np.ndarray, cfg: ScfConfig | None = None) -> np.ndarray:

@@ -106,6 +106,13 @@ def sparsify(x: np.ndarray, tau: float) -> SparseMatrix:
     return SparseMatrix(_canonical(vals), tau)
 
 
+def from_diagonals(diagonals, offsets, tau: float) -> SparseMatrix:
+    """Threshold a symmetric banded matrix, given by its diagonals (those at
+    offsets k and -k equal), into sparse storage without forming it densely.
+    Equals `sparsify` of the dense matrix."""
+    return threshold(sp.diags(diagonals, offsets, format="csr"), tau)
+
+
 def sp_trace_product(a: SparseMatrix, b: SparseMatrix) -> float:
     """Tr[A B] for symmetric sparse matrices (elementwise contraction)."""
     if a.dim != b.dim:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from dmresponse import cli, response, sp2, sparse
+from dmresponse import cli, models, response, sp2, sparse
 from dmresponse.cli import main
 from dmresponse.mmio import write_matrix_market
 from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian, overlap_chain_matrices
@@ -452,6 +452,14 @@ class TestAuditAndBenchmark:
         # the routes call the engine by the name they imported
         monkeypatch.setattr(sp2, "_expand", spy)
         monkeypatch.setattr(response, "_expand", spy)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a chain benchmark builds its inputs from their diagonals")
+
+        # no N x N array: neither a dense model nor a dense-to-sparse conversion
+        for name in ("generate_model", "chain_hamiltonian"):
+            monkeypatch.setattr(models, name, dense)
+        monkeypatch.setattr(sparse, "sparsify", dense)
         code, rep = run_cli(
             ["benchmark", "--kind", "chain", "--sizes", "100,200", "--tau", "1e-6"],
             tmp_path,

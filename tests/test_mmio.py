@@ -60,6 +60,8 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 0.5\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 0.5\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n2 1 0.5\n1 1 1\n2 1 0.7\n", 5),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1\n2 1 nan\n", 4),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 inf\n", 3),
     ],
 )
 def test_malformed_files_report_line(tmp_path, content, line_no):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmresponse import scf
 from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import trace_product
 from dmresponse.models import gapped_random_hamiltonian, overlap_chain_matrices
@@ -74,6 +75,8 @@ class TestScfGroundState:
         n, n_occ = 12, 6
         h = gapped_random_hamiltonian(n, 1.0, n_occ, seed=81)
         state = scf_ground_state(h, None, ZeroKernel(), n_occ)
+        # D = 0, then 0.3 D*, then the Anderson step lands on D*
+        assert len(state.residuals) == 3
         d_ref, _ = sp2_ground_state(h, n_occ)
         np.testing.assert_allclose(state.d0, d_ref, atol=1e-12)
         np.testing.assert_allclose(state.h_eff, h, atol=0)
@@ -126,7 +129,10 @@ class TestScfResponse:
         h = gapped_random_hamiltonian(n, 1.0, n_occ, seed=85)
         h1 = random_symmetric(rng, n)
         state = scf_ground_state(h, None, ZeroKernel(), n_occ)
-        d1_scf = scf_dm_response(state, h1)
+        res = scf_response(state, h1)
+        # L(seed), then its image L(seed + G(y)) = L(seed), unchanged
+        assert res.applications == 2 and res.residuals == (0.0,)
+        d1_scf = res.response
         _, d1_bare, _ = dm_perturbation_forward(h, h1, n_occ)
         assert np.linalg.norm(d1_scf - d1_bare) <= 1e-12 * max(1.0, np.linalg.norm(d1_bare))
 
@@ -295,6 +301,28 @@ class TestKrylovAndAnderson:
         # L(seed), then its fresh image: one residual, far from converged
         assert len(exc.value.history) == 1
         assert exc.value.history[0] > ScfConfig().eps_scf
+
+    @pytest.mark.parametrize("beta_t", [None, 20.0])
+    def test_applications_count_every_derivative_call(self, rng, monkeypatch, beta_t):
+        # the derivative L is the replayed expansion at zero temperature and
+        # the trace-neutral Fermi derivative otherwise
+        n = 12
+        h, _, h1 = gapped_case(rng, n, 97)
+        state = scf_ground_state(h, None, hubbard(1.0), n // 2, ScfConfig(beta_t=beta_t))
+        name = "dm_perturbation_forward" if beta_t is None else "trace_neutral_derivative"
+        real = getattr(scf, name)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scf, name, spy)
+        res = scf_response(state, h1)
+        assert len(calls) == res.applications
+        # the start L(seed), then one fresh image per residual
+        assert len(res.residuals) == res.applications - 1
+        assert res.residuals[-1] <= ScfConfig().eps_scf
 
     @pytest.mark.parametrize("basis", ["finite_temperature", "overlap"])
     def test_duality_through_new_solvers(self, rng, basis):

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from dmresponse.models import chain_hamiltonian
-from dmresponse.sparse import SparseMatrix, check_symmetric, sp_gershgorin, sparsify, threshold
+from dmresponse.models import chain_diagonals, chain_hamiltonian
+from dmresponse.sparse import (
+    SparseMatrix,
+    check_symmetric,
+    from_diagonals,
+    sp_gershgorin,
+    sparsify,
+    threshold,
+)
 
 from conftest import random_symmetric
 
@@ -29,6 +36,16 @@ class TestSparsify:
         h = chain_hamiltonian(1000, 1.0)
         sm = sparsify(h, 1e-6)
         assert sm.nnz == 2998
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-6, 0.5])
+    def test_from_diagonals_equals_sparsify(self, tau):
+        # tau = 0.5 drops the chain's +-0.4 on-site energies, keeps the hopping
+        onsite, hopping = chain_diagonals(30, 0.8)
+        sm = from_diagonals([hopping, onsite, hopping], [-1, 0, 1], tau)
+        ref = sparsify(chain_hamiltonian(30, 0.8), tau).csr
+        assert sm.tau == tau
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(sm.csr, attr), getattr(ref, attr))
 
     def test_drops_small_entries(self):
         x = np.array([[1.0, 1e-9], [1e-9, 2.0]])
