@@ -30,9 +30,7 @@ from .mixedprec import (
 from .mmio import MatrixMarketError, read_matrix_market, write_matrix_market
 from .models import ModelSpec, generate_model
 from .oracles import (
-    DualityAuditReport,
     binary16_reference_bits,
-    duality_audit,
     finite_difference_response,
     projector_derivative_exact,
 )
@@ -60,7 +58,6 @@ from .scf import (
 from .sp2 import Sp2Trace, sp2_ground_state
 from .sparse import SparseMatrix, sparsify
 from .thermal import (
-    ThermalConfig,
     canonical_dm_response,
     canonical_susceptibility,
     fermi_function,
@@ -92,9 +89,7 @@ __all__ = [
     "write_matrix_market",
     "ModelSpec",
     "generate_model",
-    "DualityAuditReport",
     "binary16_reference_bits",
-    "duality_audit",
     "finite_difference_response",
     "projector_derivative_exact",
     "dm_perturbation_forward",
@@ -118,7 +113,6 @@ __all__ = [
     "sp2_ground_state",
     "SparseMatrix",
     "sparsify",
-    "ThermalConfig",
     "canonical_dm_response",
     "canonical_susceptibility",
     "fermi_function",

@@ -4,7 +4,8 @@ Loads or generates model matrices, executes the requested pipeline
 (ground state, response/susceptibility in any variant, duality audit,
 benchmark sweep), and writes one JSON report per run. Reports are
 deterministic for a fixed configuration and seed, up to the "timing"
-section.
+section. ground-state, respond and audit run the route's solver from
+``SOLVERS``; audit adds one independent oracle value.
 
 Every run's flags resolve into exactly one route (scf, thermal, sparse,
 f32, split16, dense or dense_orthogonalized) before any input is read; see
@@ -30,7 +31,6 @@ from . import linalg, mixedprec, models, oracles, response, scf, sp2, sparse, th
 from .exceptions import ConvergenceError
 from .mmio import MatrixMarketError, read_matrix_market
 from .sparse import SparseMatrix
-from .thermal import ThermalConfig
 
 REPORT_SCHEMA = 1
 
@@ -139,12 +139,24 @@ def _route(cfg: RunConfig) -> str:
         raise UsageError(f"--tau must be finite and non-negative, got {cfg.tau}")
     if not 0.0 < cfg.fd_step < math.inf:
         raise UsageError(f"--fd-step must be finite and positive, got {cfg.fd_step}")
+    if any(n is not None and n < 2 for n in (cfg.size, *cfg.sizes)):
+        raise UsageError("model dimensions (--size, --sizes) must be at least 2")
+    if not 0.0 < cfg.gap < math.inf:
+        raise UsageError(f"--gap must be finite and positive, got {cfg.gap}")
+    if cfg.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {cfg.seed}")
+    if not 0.0 < cfg.model_overlap < 0.5:
+        raise UsageError(f"--model-overlap must lie in (0, 0.5), got {cfg.model_overlap}")
+    if cfg.kernel is not None:
+        _kernel_spec(cfg.kernel)
     if cfg.h0:
         for flag in GENERATOR:
             if _given(cfg, flag):
                 raise UsageError(
                     f"--h0 replaces the generated model; drop --{flag.replace('_', '-')}"
                 )
+    if _given(cfg, "model_overlap") and cfg.kind != "overlap_chain":
+        raise UsageError("--model-overlap applies only to a generated overlap_chain")
     for flag, reason in REFUSED[cfg.subcommand].items():
         if _given(cfg, flag):
             raise UsageError(reason)
@@ -232,23 +244,32 @@ def _resolve_n_occ(cfg: RunConfig, n: int) -> int:
     return n_occ
 
 
-def _parse_kernel(spec: str, n: int, seed: int):
+def _kernel_spec(spec: str) -> tuple[str, float]:
+    """(name, strength) of a --kernel NAME:STRENGTH; the zero kernel ignores
+    its strength."""
     name, _, strength = spec.partition(":")
     name = name.lower()
-    if name == "zero":
-        return scf.ZeroKernel()
+    if name not in ("zero", "hubbard", "bilinear"):
+        raise UsageError(f"unknown kernel {name!r}; expected zero, hubbard, or bilinear")
     try:
         value = float(strength) if strength else 0.1
     except ValueError:
-        raise UsageError(f"bad kernel strength {strength!r}") from None
+        value = math.nan
+    if name != "zero" and not math.isfinite(value):
+        raise UsageError(f"bad kernel strength {strength!r}; expected a finite number")
+    return name, value
+
+
+def _parse_kernel(spec: str, n: int, seed: int):
+    name, value = _kernel_spec(spec)
+    if name == "zero":
+        return scf.ZeroKernel()
     if name == "hubbard":
         return scf.DiagonalHubbardKernel(value)
-    if name == "bilinear":
-        rng = np.random.default_rng(seed + 7919)
-        b = linalg.symmetrize(rng.standard_normal((n, n))) * (value / math.sqrt(n))
-        c = linalg.symmetrize(rng.standard_normal((n, n))) * (value / math.sqrt(n))
-        return scf.BilinearKernel(b, c)
-    raise UsageError(f"unknown kernel {name!r}; expected zero, hubbard, or bilinear")
+    rng = np.random.default_rng(seed + 7919)
+    b = linalg.symmetrize(rng.standard_normal((n, n))) * (value / math.sqrt(n))
+    c = linalg.symmetrize(rng.standard_normal((n, n))) * (value / math.sqrt(n))
+    return scf.BilinearKernel(b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +292,16 @@ def _as_sparse(m, tau: float) -> SparseMatrix:
     if not isinstance(m, SparseMatrix):
         return sparse.sparsify(m, tau)
     return m if m.tau == tau else sparse.threshold(m.csr.copy(), tau)
+
+
+def pairwise_deviations(values: dict[str, float]) -> dict[str, float]:
+    """|values[a] - values[b]| for every pair of routes, keyed "a|b" with a < b."""
+    names = sorted(values)
+    return {
+        f"{na}|{nb}": abs(values[na] - values[nb])
+        for i, na in enumerate(names)
+        for nb in names[i + 1 :]
+    }
 
 
 def _check_finite(obj, path="report"):
@@ -401,17 +432,18 @@ def _solve_low_precision(cfg, h0, s, a, h1, n_occ) -> dict:
     values = {}
     ref = {}
     mult_count = 0
+    ref_trace = None  # the float64 D1 run's branch record, replayed for chi
     if _wants(cfg, "perturb"):
         res = pipeline(h0, h1, n_occ, mode="perturbation")
         values["a1_direct"] = linalg.trace_product(a, res.response)
         mult_count += res.mult_count
-        _, d1_ref, _ = response.dm_perturbation_forward(h0, h1, n_occ)
+        _, d1_ref, ref_trace = response.dm_perturbation_forward(h0, h1, n_occ)
         ref["a1_direct_f64"] = linalg.trace_product(a, d1_ref)
     if _wants(cfg, "suscept-fwd"):
         res = pipeline(h0, a, n_occ, mode="susceptibility")
         values["a1_dual_forward"] = linalg.trace_product(res.response, h1)
         mult_count += res.mult_count
-        _, chi_ref, _ = response.susceptibility_forward(h0, a, n_occ)
+        _, chi_ref, _ = response.susceptibility_forward(h0, a, n_occ, trace=ref_trace)
         ref["a1_dual_forward_f64"] = linalg.trace_product(chi_ref, h1)
     rel = {
         k: abs(values[k.removesuffix("_f64")] - v) / max(abs(v), 1e-300)
@@ -456,17 +488,56 @@ def _run_route(cfg: RunConfig, route: str) -> dict:
         results["mode"] = cfg.mode
     results.update(SOLVERS[route](cfg, h0, s, a, h1, n_occ))
     if "values" in results:
-        results["duality_deviations"] = oracles.pairwise_deviations(results["values"])
+        results["duality_deviations"] = pairwise_deviations(results["values"])
     return results
 
 
+# the audit's names for the a1 values of the two routes it runs
+AUDIT_NAMES = {
+    "dense": {
+        "a1_direct": "direct_forward",
+        "a1_dual_forward": "dual_forward",
+        "a1_dual_backward": "dual_backward",
+    },
+    "thermal": {"a1_direct": "direct_thermal", "a1_dual_forward": "dual_thermal"},
+}
+
+
 def _run_audit(cfg: RunConfig, route: str) -> dict:
+    """Every a1 value of the route's solver plus one independent oracle value,
+    with their pairwise deviations. The oracle is the eigenbasis projector
+    derivative at the HOMO-LUMO midpoint at zero temperature, and the central
+    difference of Tr[A D] with step --fd-step at finite temperature."""
     h0, _, a, h1 = _load_or_generate(cfg)
     n = h0.shape[0]
     n_occ = _resolve_n_occ(cfg, n)
-    cfg_t = ThermalConfig(beta_t=cfg.beta_t, n_occ=float(n_occ)) if route == "thermal" else None
-    report = oracles.duality_audit(h0, a, h1, n_occ, thermal=cfg_t, fd_step=cfg.fd_step)
-    return {"dim": n, "n_occ": n_occ, **report.as_dict()}
+    solved = SOLVERS[route](cfg, h0, None, a, h1, n_occ)
+    values = {AUDIT_NAMES[route][k]: v for k, v in solved["values"].items()}
+    if route == "thermal":
+
+        def observable_at(h):
+            d, _ = thermal.fermi_matrix_and_mu(h, cfg.beta_t, float(n_occ))
+            return linalg.trace_product(a, d)
+
+        values["oracle_finite_difference"] = oracles.finite_difference_response(
+            observable_at, h0, h1, cfg.fd_step
+        )
+    else:
+        eig = linalg.sym_eigendecompose(h0)
+        mu = 0.5 * (eig.values[n_occ - 1] + eig.values[n_occ])
+        oracle = oracles.projector_derivative_exact(eig, h1, mu)
+        values["oracle_eigenbasis"] = linalg.trace_product(a, oracle)
+    details = pairwise_deviations(values)
+    worst = max([0.0, *details.values()])
+    scale = max(max(abs(v) for v in values.values()), 1e-12)
+    return {
+        "dim": n,
+        "n_occ": n_occ,
+        "values": values,
+        "max_abs_deviation": worst,
+        "max_rel_deviation": worst / scale,
+        "details": details,
+    }
 
 
 def _run_benchmark(cfg: RunConfig, route: str) -> dict:
@@ -475,7 +546,7 @@ def _run_benchmark(cfg: RunConfig, route: str) -> dict:
     per_size = []
     rng = np.random.default_rng(cfg.seed)
     for n in cfg.sizes:
-        # validates n and gap for either kind
+        # _route has checked n and gap; the spec adds gapped_random's bandwidth limit
         spec = models.ModelSpec(kind=kind, n=n, gap=cfg.gap, seed=cfg.seed)
         n_occ = _resolve_n_occ(cfg, n)
         # A is diagonal and H1 the chain itself, so both (and a chain H0) are

@@ -32,8 +32,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.n < 2:
             raise ValueError("model dimension must be at least 2")
-        if self.gap <= 0:
-            raise ValueError("gap must be positive")
+        if not 0.0 < self.gap < np.inf:
+            raise ValueError(f"gap must be finite and positive, got {self.gap}")
         if self.kind == "overlap_chain" and not (0.0 < self.overlap < 0.5):
             raise ValueError("neighbor overlap must lie in (0, 0.5) to keep S positive definite")
         if self.kind == "gapped_random":

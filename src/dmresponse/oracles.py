@@ -1,21 +1,19 @@
 """Independent ground-truth generators for the recursive expansions.
 
-Everything here is deliberately built on routes the recursions never take:
+Reference generators only, each built on a route the recursions never take:
 central finite differences, the exact eigenbasis derivative of the spectral
 projector, and a bit-level binary16 encoder written directly against the
-IEEE 754 layout. The recursive implementations are tested against these;
-these never call the code they check.
+IEEE 754 layout. The tests and `dmresponse audit` check the recursive
+implementations against these; these import none of the code they check.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .linalg import EigenDecomposition, sym_eigendecompose, symmetrize, trace_product
+from .linalg import EigenDecomposition, symmetrize
 
 GAP_GUARD = 1e-8
 
@@ -124,88 +122,3 @@ def binary16_reference_bits(x) -> np.ndarray:
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return out[0]
     return out.reshape(np.asarray(x).shape)
-
-
-@dataclass(frozen=True)
-class DualityAuditReport:
-    """All routes to one response value, with their pairwise deviations."""
-
-    values: dict[str, float]
-    max_abs_deviation: float
-    max_rel_deviation: float
-    details: dict[str, float] = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        return {
-            "values": dict(self.values),
-            "max_abs_deviation": self.max_abs_deviation,
-            "max_rel_deviation": self.max_rel_deviation,
-            "details": dict(self.details),
-        }
-
-
-def pairwise_deviations(values: dict[str, float]) -> dict[str, float]:
-    """|values[a] - values[b]| for every pair of routes, keyed "a|b" with a < b."""
-    names = sorted(values)
-    return {
-        f"{na}|{nb}": abs(values[na] - values[nb])
-        for i, na in enumerate(names)
-        for nb in names[i + 1 :]
-    }
-
-
-def duality_audit(h0, a, h1, n_occ, thermal=None, fd_step: float = 1e-5) -> DualityAuditReport:
-    """Compute one response value by every available route and report the
-    pairwise deviations.
-
-    Zero temperature (thermal None): forward density response, forward and
-    backward susceptibilities, and the exact eigenbasis projector derivative.
-    Finite temperature (thermal = ThermalConfig): both trace-neutral
-    eigenbasis routes plus a finite-difference of the occupation-constrained
-    Fermi matrix, with central step fd_step.
-    """
-    if not 0.0 < fd_step < math.inf:
-        raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
-    if thermal is None:
-        from .response import dm_perturbation_forward, susceptibility_backward, susceptibility_forward
-
-        _, d1, _ = dm_perturbation_forward(h0, h1, n_occ)
-        _, chi_f, _ = susceptibility_forward(h0, a, n_occ)
-        _, chi_b, _ = susceptibility_backward(h0, a, n_occ)
-        eig = sym_eigendecompose(h0)
-        mu = 0.5 * (eig.values[n_occ - 1] + eig.values[n_occ])
-        oracle = projector_derivative_exact(eig, h1, mu)
-        values = {
-            "direct_forward": trace_product(a, d1),
-            "dual_forward": trace_product(chi_f, h1),
-            "dual_backward": trace_product(chi_b, h1),
-            "oracle_eigenbasis": trace_product(a, oracle),
-        }
-    else:
-        from .thermal import canonical_dm_response, canonical_susceptibility, fermi_matrix_and_mu
-
-        d1, _ = canonical_dm_response(h0, h1, thermal.beta_t, thermal.n_occ)
-        chi, _ = canonical_susceptibility(h0, a, thermal.beta_t, thermal.n_occ)
-
-        def observable_at(hmat):
-            d, _ = fermi_matrix_and_mu(hmat, thermal.beta_t, thermal.n_occ)
-            return trace_product(a, d)
-
-        fd = (observable_at(h0 + fd_step * h1) - observable_at(h0 - fd_step * h1)) / (
-            2.0 * fd_step
-        )
-        values = {
-            "direct_thermal": trace_product(a, d1),
-            "dual_thermal": trace_product(chi, h1),
-            "oracle_finite_difference": fd,
-        }
-
-    details = pairwise_deviations(values)
-    worst = max([0.0, *details.values()])
-    scale = max(max(abs(v) for v in values.values()), 1e-12)
-    return DualityAuditReport(
-        values=values,
-        max_abs_deviation=worst,
-        max_rel_deviation=worst / scale,
-        details=details,
-    )

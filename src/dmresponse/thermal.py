@@ -13,7 +13,6 @@ expansions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,18 +26,6 @@ DEGENERACY_DELTA = 1e-8
 
 MU_TRACE_TOL = 1e-12
 MU_MAX_BISECTIONS = 500
-
-
-@dataclass(frozen=True)
-class ThermalConfig:
-    """Inverse temperature and occupation target of a canonical ensemble."""
-
-    beta_t: float
-    n_occ: float
-
-    def __post_init__(self):
-        if self.beta_t <= 0:
-            raise ValueError("inverse temperature beta_t must be positive")
 
 
 def fermi_function(eps, beta_t: float, mu: float):

@@ -256,7 +256,7 @@ class TestRespond:
         assert all(d <= 1e-9 for d in results["duality_deviations"].values())
 
     def test_thermal_route_decomposes_once(self, tmp_path, monkeypatch):
-        from dmresponse import linalg, oracles, scf, thermal
+        from dmresponse import linalg, scf, thermal
 
         calls = []
         real = linalg.sym_eigendecompose
@@ -265,7 +265,7 @@ class TestRespond:
             calls.append(x.shape)
             return real(x)
 
-        for module in (linalg, thermal, scf, oracles):
+        for module in (linalg, thermal, scf):
             monkeypatch.setattr(module, "sym_eigendecompose", counting)
         args = ["respond", "--kind", "gapped_random", "--size", "16", "--beta-t", "15"]
         code, rep = run_cli(args + ["--mode", "both"], tmp_path)
@@ -333,9 +333,23 @@ class TestErrorPaths:
         write_matrix_market(tmp_path / "s8.mtx", overlap_chain_matrices(8, 1.0, 0.2)[1])
         write_matrix_market(tmp_path / "h1.mtx", np.eye(20))
         gen = ["--kind", "gapped_random", "--size", "20"]
+        chain = ["--kind", "chain", "--size", "8"]
+        overlap_chain = ["--kind", "overlap_chain", "--size", "8"]
         for argv in [
-            ["audit", *gen, "--beta-t", "12", "--fd-step", "0"],
-            ["audit", *gen, "--fd-step", "nan"],
+            ["respond", "--kind", "chain", "--size", "1"],
+            ["respond", *chain, "--gap", "0"],
+            ["respond", *chain, "--gap", "nan"],
+            ["respond", *chain, "--gap", "inf"],
+            ["respond", *chain, "--seed=-1"],
+            ["respond", *chain, "--kernel", "hubbard:nan"],
+            ["respond", *chain, "--kernel", "hubbard:inf"],
+            ["respond", *overlap_chain, "--model-overlap", "0.7"],
+            ["respond", *overlap_chain, "--model-overlap", "nan"],
+            ["respond", *chain, "--model-overlap", "0.3"],
+            ["respond", *gen, "--model-overlap", "0.3"],
+            ["benchmark", "--sizes", "1"],
+            ["benchmark", "--sizes", "0,4"],
+            ["benchmark", "--sizes", "100", "--model-overlap", "0.3"],
             ["respond", "--h0", str(tmp_path / "missing.mtx")],
             ["respond", *gen, "--tau", "-1"],
             ["respond", *gen, "--tau", "nan"],
@@ -416,7 +430,83 @@ class TestErrorPaths:
         assert rep["error"]["type"] in ("ConvergenceError", "ValueError")
 
 
+def audit_files(tmp_path, h0, a, h1, n_occ, *extra):
+    """audit on --h0/--obs/--h1 array files."""
+    argv = ["audit", "--nocc", str(n_occ), *extra]
+    for flag, m in (("--h0", h0), ("--obs", a), ("--h1", h1)):
+        path = tmp_path / f"{flag[2:]}.mtx"
+        write_matrix_market(path, m)
+        argv += [flag, str(path)]
+    code, rep = run_cli(argv, tmp_path)
+    assert code == 0 and rep["error"] is None
+    return rep["results"]
+
+
 class TestAuditAndBenchmark:
+    def test_audit_2x2_worked_case(self, tmp_path):
+        h0 = np.diag([0.0, 2.0])
+        w = np.array([[0.0, 1.0], [1.0, 0.0]])
+        res = audit_files(tmp_path, h0, w, w, 1)
+        assert len(res["values"]) == 4
+        for v in res["values"].values():
+            assert abs(v + 1.0) <= 1e-10
+        assert res["max_abs_deviation"] <= 1e-10
+
+    def test_audit_zero_inputs_give_zero_everywhere(self, tmp_path):
+        h0 = gapped_random_hamiltonian(10, 1.0, 5, seed=119)
+        zero = np.zeros((10, 10))
+        res = audit_files(tmp_path, h0, zero, zero, 5)
+        assert all(v == 0.0 for v in res["values"].values())
+
+    def test_audit_random_gapped_cross_check(self, tmp_path, rng):
+        h0 = gapped_random_hamiltonian(50, 1.0, 25, seed=120)
+        res = audit_files(tmp_path, h0, random_symmetric(rng, 50), random_symmetric(rng, 50), 25)
+        assert res["max_rel_deviation"] <= 1e-9
+        assert set(res["values"]) == {
+            "direct_forward",
+            "dual_forward",
+            "dual_backward",
+            "oracle_eigenbasis",
+        }
+
+    def test_audit_thermal_files(self, tmp_path, rng):
+        h0, a, h1 = (random_symmetric(rng, 16) for _ in range(3))
+        res = audit_files(tmp_path, h0, a, h1, 8, "--beta-t", "10")
+        assert res["max_rel_deviation"] <= 1e-7
+        assert "oracle_finite_difference" in res["values"]
+
+    @pytest.mark.parametrize(
+        "extra, names, oracle",
+        [
+            (
+                [],
+                {
+                    "a1_direct": "direct_forward",
+                    "a1_dual_forward": "dual_forward",
+                    "a1_dual_backward": "dual_backward",
+                },
+                "oracle_eigenbasis",
+            ),
+            (
+                ["--beta-t", "12"],
+                {"a1_direct": "direct_thermal", "a1_dual_forward": "dual_thermal"},
+                "oracle_finite_difference",
+            ),
+        ],
+        ids=["dense", "thermal"],
+    )
+    def test_audit_values_are_the_route_solvers(self, tmp_path, extra, names, oracle):
+        # the audit's a1 values are respond --mode both's, bit for bit, plus
+        # one oracle value
+        model = ["--kind", "gapped_random", "--size", "16", "--seed", "4", *extra]
+        code, audit = run_cli(["audit", *model], tmp_path, "audit.json")
+        assert code == 0
+        code, resp = run_cli(["respond", "--mode", "both", *model], tmp_path, "respond.json")
+        assert code == 0
+        values = audit["results"]["values"]
+        assert set(values) == {*names.values(), oracle}
+        assert {k: values[v] for k, v in names.items()} == resp["results"]["values"]
+
     def test_audit_all_routes_agree(self, tmp_path):
         code, rep = run_cli(
             ["audit", "--kind", "gapped_random", "--size", "20", "--seed", "4"], tmp_path

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from dmresponse.cli import main
 from dmresponse.linalg import sym_eigendecompose, symmetrize
 from dmresponse.models import gapped_random_hamiltonian
 from dmresponse.oracles import (
     binary16_reference_bits,
-    duality_audit,
     finite_difference_response,
     projector_derivative_exact,
 )
-from dmresponse.thermal import ThermalConfig
 
 from conftest import random_symmetric
 
@@ -101,44 +100,12 @@ class TestBinary16Reference:
 
 
 class TestDualityAudit:
-    def test_zero_inputs_give_zero_everywhere(self):
-        h0 = gapped_random_hamiltonian(10, 1.0, 5, seed=119)
-        rep = duality_audit(h0, np.zeros((10, 10)), np.zeros((10, 10)), 5)
-        assert all(v == 0.0 for v in rep.values.values())
-
-    def test_2x2_worked_case(self):
-        h0 = np.diag([0.0, 2.0])
-        w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        rep = duality_audit(h0, w, w, 1)
-        for v in rep.values.values():
-            assert abs(v + 1.0) <= 1e-10
-        assert rep.max_abs_deviation <= 1e-10
-
-    def test_random_gapped_cross_check(self, rng):
-        h0 = gapped_random_hamiltonian(50, 1.0, 25, seed=120)
-        a = random_symmetric(rng, 50)
-        h1 = random_symmetric(rng, 50)
-        rep = duality_audit(h0, a, h1, 25)
-        assert rep.max_rel_deviation <= 1e-9
-        assert set(rep.values) == {
-            "direct_forward",
-            "dual_forward",
-            "dual_backward",
-            "oracle_eigenbasis",
-        }
-
-    def test_thermal_audit(self, rng):
-        h0 = random_symmetric(rng, 16)
-        a = random_symmetric(rng, 16)
-        h1 = random_symmetric(rng, 16)
-        rep = duality_audit(h0, a, h1, 8, thermal=ThermalConfig(beta_t=10.0, n_occ=8.0))
-        assert rep.max_rel_deviation <= 1e-7
-        assert "oracle_finite_difference" in rep.values
-
+    # the duality audit runs through the CLI; its finite-difference oracle
+    # step is refused there, as a usage error, before any input is built
     @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
-    def test_rejects_bad_fd_step(self, step):
-        h0 = np.diag([0.0, 2.0])
-        w = np.array([[0.0, 1.0], [1.0, 0.0]])
-        cfg = ThermalConfig(beta_t=10.0, n_occ=1.0)
-        with pytest.raises(ValueError, match="fd_step"):
-            duality_audit(h0, w, w, 1, thermal=cfg, fd_step=step)
+    def test_rejects_bad_fd_step(self, capsys, step):
+        argv = ["audit", "--kind", "gapped_random", "--size", "20", "--beta-t", "12"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--fd-step={step}"])
+        assert exc.value.code == 2
+        assert "--fd-step must be finite and positive" in capsys.readouterr().err

@@ -6,7 +6,6 @@ from dmresponse.models import gapped_random_hamiltonian
 from dmresponse.response import susceptibility_forward
 from dmresponse.sp2 import sp2_ground_state
 from dmresponse.thermal import (
-    ThermalConfig,
     canonical_dm_response,
     canonical_susceptibility,
     fermi_derivative,
@@ -155,8 +154,3 @@ def test_hadamard_trace_identity(rng):
         lhs = trace_product(ell * x, y)
         rhs = trace_product(ell * y, x)
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
-
-
-def test_thermal_config_validation():
-    with pytest.raises(ValueError):
-        ThermalConfig(beta_t=-1.0, n_occ=2.0)
