@@ -20,10 +20,8 @@ from .linalg import (
 )
 from .mixedprec import (
     MixedPipelineResult,
-    MultCounter,
     SplitMatrix,
     mixed_response_pipeline,
-    round_binary16,
     single_precision_pipeline,
     split,
 )
@@ -78,10 +76,8 @@ __all__ = [
     "symmetrize",
     "trace_product",
     "MixedPipelineResult",
-    "MultCounter",
     "SplitMatrix",
     "mixed_response_pipeline",
-    "round_binary16",
     "single_precision_pipeline",
     "split",
     "MatrixMarketError",

@@ -143,6 +143,10 @@ def _route(cfg: RunConfig) -> str:
         raise UsageError("model dimensions (--size, --sizes) must be at least 2")
     if not 0.0 < cfg.gap < math.inf:
         raise UsageError(f"--gap must be finite and positive, got {cfg.gap}")
+    # a gapped_random spectrum fills [-bandwidth, -gap/2] and [gap/2, bandwidth]
+    max_gap = 2.0 * models.ModelSpec.bandwidth
+    if cfg.kind == "gapped_random" and cfg.gap >= max_gap:
+        raise UsageError(f"--gap must be below {max_gap} for gapped_random, got {cfg.gap}")
     if cfg.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {cfg.seed}")
     if not 0.0 < cfg.model_overlap < 0.5:
@@ -667,28 +671,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--overlap", help="overlap matrix file (Matrix Market)")
         p.add_argument("--kind", choices=models.MODEL_KINDS, help="generate a model Hamiltonian")
         p.add_argument("--size", type=int, help="model dimension")
-        p.add_argument("--gap", type=float, default=1.0, help="model gap (default 1.0)")
+        p.add_argument(
+            "--gap", type=float, default=_DEFAULTS["gap"], help="model gap (default %(default)s)"
+        )
         p.add_argument(
             "--model-overlap",
             type=float,
-            default=0.2,
-            help="neighbor overlap for overlap_chain (default 0.2)",
+            default=_DEFAULTS["model_overlap"],
+            help="neighbor overlap for overlap_chain (default %(default)s)",
         )
         p.add_argument("--nocc", type=int, dest="n_occ", help="occupied states (default N/2)")
         p.add_argument("--tau", type=float, help="sparse drop tolerance")
         p.add_argument("--beta-t", type=float, dest="beta_t", help="inverse temperature")
         p.add_argument("--kernel", help="self-consistency kernel NAME:STRENGTH")
-        p.add_argument("--precision", choices=PRECISIONS, default="f64")
+        p.add_argument("--precision", choices=PRECISIONS, default=_DEFAULTS["precision"])
         if with_mode:
-            p.add_argument("--mode", choices=MODES, default="both")
-        p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--mode", choices=MODES, default=_DEFAULTS["mode"])
+        p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
         p.add_argument("--out", help="report path (default stdout)")
         return p
 
     add_common(sub.add_parser("ground-state", help="ground-state density matrix"))
     add_common(sub.add_parser("respond", help="linear response / susceptibility"), with_mode=True)
     audit = add_common(sub.add_parser("audit", help="all-routes duality audit"))
-    audit.add_argument("--fd-step", type=float, default=1e-5, dest="fd_step")
+    audit.add_argument("--fd-step", type=float, default=_DEFAULTS["fd_step"], dest="fd_step")
     bench = add_common(sub.add_parser("benchmark", help="thresholded-sparse scaling sweep"))
     bench.add_argument(
         "--sizes", type=_sizes, required=True, help="comma-separated dimensions, e.g. 500,1000,2000"

@@ -9,23 +9,26 @@ multiplication, so one iterate-square costs 2 elementary products and one
 general symmetrized product costs 3: 5 per expansion step.
 
 Values are stored widened (float32 arrays constrained to the binary16 grid);
-nothing here dispatches to real low-precision hardware. Rounding onto the
-grid is exact integer arithmetic on the float64 bit pattern (`_round16`),
-bit-identical to numpy's float16 cast but without its slow path for the
-binary16 subnormals that fill every low part.
+nothing here dispatches to real low-precision hardware. `_round16` is the
+one rounding onto the grid: exact integer arithmetic on the float64 bit
+pattern, bit-identical to numpy's float16 cast but without its slow path
+for the binary16 subnormals that fill every low part. `_round_array16`
+checks input not yet known to lie in the binary16 range before rounding
+it. A split is the plain pair (high, low) that `split` returns.
 
 Both pipelines run the one SP2 engine, `sp2._expand`, with a kernel of
 their own: `_F32Ops` (plain float32 products) and `_Split16Ops` (split
-products). Each kernel owns its product counter. The split16 kernel splits
-each iterate once per step; the square and the pair update share that
-split. Without a seed a pipeline runs the ground state alone, one square
-per step. Neither kernel gates its runs: their callers judge them against
-the float64 route.
+products). Every elementary product goes through the kernel's `_gemm`,
+which counts it in `mult_count`. The split16 kernel splits each iterate
+once per step; the square and the pair update share that split. Without a
+seed a pipeline runs the ground state alone, one square per step. Neither
+kernel gates its runs: their callers judge them against the float64 route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,20 +43,6 @@ BINARY16_MIN_NORMAL = 2.0**-14
 _DROPPED_BITS = np.uint64(42)
 _HALF_DROPPED_MINUS_ONE = np.uint64((1 << 41) - 1)
 _KEPT_BITS = np.uint64(((1 << 64) - 1) ^ ((1 << 42) - 1))
-
-
-def round_binary16(x: float) -> float:
-    """Round one finite value to the nearest binary16 (ties to even).
-
-    Magnitudes beyond the largest binary16 normal raise OverflowError: the
-    expansions this feeds keep their iterates inside [0, 1], so an overflow
-    is a bug or bad spectral bounds, never something to saturate away.
-    """
-    if not np.isfinite(x):
-        raise ValueError(f"cannot round non-finite value {x!r} to binary16")
-    if abs(x) > BINARY16_MAX:
-        raise OverflowError(f"{x!r} exceeds the binary16 range (max {BINARY16_MAX})")
-    return float(np.float16(x))
 
 
 def _round16(x: np.ndarray) -> np.ndarray:
@@ -87,6 +76,11 @@ def _round16(x: np.ndarray) -> np.ndarray:
 
 
 def _round_array16(x: np.ndarray) -> np.ndarray:
+    """`_round16` with its input checked: non-finite values raise
+    ValueError, magnitudes beyond the largest binary16 normal
+    OverflowError. The expansions keep their iterates inside [0, 1], so an
+    overflow is a bug or bad spectral bounds, never something to saturate
+    away."""
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot round non-finite values to binary16")
     if np.any(np.abs(x) > BINARY16_MAX):
@@ -95,87 +89,21 @@ def _round_array16(x: np.ndarray) -> np.ndarray:
     return _round16(x)
 
 
-@dataclass(frozen=True)
-class SplitMatrix:
+class SplitMatrix(NamedTuple):
     """Two-term binary16 representation: high = fl16(X),
-    low = fl16(X - fl32(high))."""
+    low = fl16(X - high)."""
 
     high: np.ndarray
     low: np.ndarray
 
-    def __post_init__(self):
-        for name, part in (("high", self.high), ("low", self.low)):
-            if part.dtype != np.float32:
-                raise ValueError(f"{name} part must be float32 storage")
-            if not np.array_equal(_round16(part.astype(np.float64)), part):
-                raise ValueError(f"{name} part has entries off the binary16 grid")
-            if not np.all(np.isfinite(part)):
-                raise ValueError(f"{name} part has non-finite entries")
-            # finite float32 values beyond the binary16 range round to
-            # themselves under _round16, so range is checked on its own
-            if np.max(np.abs(part), initial=0.0) > BINARY16_MAX:
-                raise ValueError(f"{name} part has entries off the binary16 grid")
-
-    @property
-    def dim(self) -> int:
-        return self.high.shape[0]
-
-    def widened(self) -> np.ndarray:
-        """high + low in float64."""
-        return self.high.astype(np.float64) + self.low.astype(np.float64)
-
 
 def split(x: np.ndarray) -> SplitMatrix:
-    """Split a matrix into its two-term binary16 representation."""
+    """Split a matrix into its two-term binary16 representation. Once x has
+    passed the range check, its remainder is finite and at most 16 in
+    magnitude, so only x itself is checked."""
     x64 = np.asarray(x, dtype=np.float64)
     high = _round_array16(x64)
-    low = _round_array16(x64 - high)
-    # Both parts were just rounded onto the binary16 grid inside its range,
-    # so the constructor's checks (one more rounding per part) are skipped.
-    out = object.__new__(SplitMatrix)
-    object.__setattr__(out, "high", high)
-    object.__setattr__(out, "low", low)
-    return out
-
-
-@dataclass
-class MultCounter:
-    """Counts elementary half-precision matrix products."""
-
-    count: int = 0
-
-    def add(self, k: int = 1):
-        self.count += k
-
-
-def _gemm16(a: np.ndarray, b: np.ndarray, counter: MultCounter) -> np.ndarray:
-    # binary16-exact float32 factors, float32 (BLAS sgemm) accumulation
-    counter.add()
-    return a @ b
-
-
-def _mixed_square(x: SplitMatrix, counter: MultCounter) -> np.ndarray:
-    """X X for symmetric X in two elementary products, in float32: the
-    low*high term is the transpose of high*low."""
-    p_hl = _gemm16(x.high, x.low, counter)
-    return _gemm16(x.high, x.high, counter) + p_hl + p_hl.T
-
-
-def _mixed_symmetrized_pair(
-    y: SplitMatrix, x: SplitMatrix, counter: MultCounter
-) -> np.ndarray:
-    """YX + XY for symmetric X, Y in three elementary products.
-
-    Expanding both orderings over the parts (low*low dropped) gives six
-    terms that pair up as a product plus its transpose: Yh Xh, Yh Xl, and
-    Xh Yl cover all of them.
-    """
-    q = (
-        _gemm16(y.high, x.high, counter)
-        + _gemm16(y.high, x.low, counter)
-        + _gemm16(x.high, y.low, counter)
-    )
-    return q + q.T
+    return SplitMatrix(high, _round16(x64 - high))
 
 
 @dataclass(frozen=True)
@@ -200,13 +128,16 @@ class _F32Ops(_DenseOps):
 
     name = "low-precision expansion"
     stall_hint = "small gaps are often unresolvable at reduced precision"
-    # sgemm already uses every core, and _Split16Ops shares the split of X
-    # between square and pair_update (see sp2._SparseOps).
-    overlap_pair_update = False
 
     def __init__(self, h0: np.ndarray):
         super().__init__(h0)
-        self.counter = MultCounter()
+        self.mult_count = 0
+
+    def _gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """One elementary product: float32 (BLAS sgemm) accumulation; the
+        split16 kernel passes binary16-exact factors."""
+        self.mult_count += 1
+        return a @ b
 
     def seed(self, alpha: float, beta: float, h0: np.ndarray) -> np.ndarray:
         return (alpha * np.eye(self.n) + beta * h0).astype(np.float32)
@@ -219,19 +150,17 @@ class _F32Ops(_DenseOps):
         return float(np.trace(x.astype(np.float64)))
 
     def square(self, x: np.ndarray) -> np.ndarray:
-        self.counter.add()
-        return x @ x
+        return self._gemm(x, x)
 
     def combine(self, sigma: int, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        return x2 if sigma == 1 else (2.0 * x - x2).astype(np.float32)
+        return x2 if sigma == 1 else 2.0 * x - x2
 
     def pair_update(self, sigma: int, y: np.ndarray, x: np.ndarray) -> np.ndarray:
         pair = self._pair(y, x)
-        return pair if sigma == 1 else (2.0 * y - pair).astype(np.float32)
+        return pair if sigma == 1 else 2.0 * y - pair
 
     def _pair(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        self.counter.add()
-        p = y @ x
+        p = self._gemm(y, x)
         return p + p.T
 
     def gate(self, x, trace: Sp2Trace) -> None:
@@ -260,10 +189,22 @@ class _Split16Ops(_F32Ops):
         return self._last_split[1]
 
     def square(self, x: np.ndarray) -> np.ndarray:
-        return _mixed_square(self._split_x(x), self.counter)
+        """X X for symmetric X in two elementary products: the low*high term
+        is the transpose of high*low."""
+        high, low = self._split_x(x)
+        p_hl = self._gemm(high, low)
+        return self._gemm(high, high) + p_hl + p_hl.T
 
     def _pair(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return _mixed_symmetrized_pair(split(y), self._split_x(x), self.counter)
+        """YX + XY for symmetric X, Y in three elementary products.
+
+        Expanding both orderings over the parts (low*low dropped) gives six
+        terms that pair up as a product plus its transpose: Yh Xh, Yh Xl,
+        and Xh Yl cover all of them.
+        """
+        (yh, yl), (xh, xl) = split(y), self._split_x(x)
+        q = self._gemm(yh, xh) + self._gemm(yh, xl) + self._gemm(xh, yl)
+        return q + q.T
 
 
 def _pipeline(kernel, h0, seed, n_occ, mode, bounds) -> MixedPipelineResult:
@@ -275,7 +216,7 @@ def _pipeline(kernel, h0, seed, n_occ, mode, bounds) -> MixedPipelineResult:
         d0=x.astype(np.float64),
         response=None if y is None else y.astype(np.float64),
         trace=trace,
-        mult_count=ops.counter.count,
+        mult_count=ops.mult_count,
     )
 
 

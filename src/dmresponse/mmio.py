@@ -98,6 +98,12 @@ def read_matrix_market(path) -> np.ndarray | SparseMatrix:
         try:
             return symmetric_matrix(dense)
         except ValueError as exc:
+            # symmetric_matrix has rejected the values; only then look for the
+            # line of the first non-finite one, so valid files pay no second scan
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                no, ln = entries[bad[0]]
+                raise MatrixMarketError(path, no, f"non-finite value {ln!r}") from None
             raise MatrixMarketError(path, size_no, str(exc)) from None
 
     parts = size_line.split()

@@ -18,7 +18,7 @@ from dmresponse.linalg import (
     symmetrize,
     trace_product,
 )
-from dmresponse.mixedprec import mixed_response_pipeline, round_binary16
+from dmresponse.mixedprec import _round16, mixed_response_pipeline
 from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
 from dmresponse.oracles import (
     binary16_reference_bits,
@@ -312,14 +312,10 @@ def test_criterion_07_mixed_precision():
         ]
     )
     ref_bits = binary16_reference_bits(xs)
-    emu_bits = np.float16(xs).view(np.uint16)  # the emulator's rounding primitive
+    # the rounding split16 runs on; its float32 output is on the binary16
+    # grid, so the cast to float16 is exact
+    emu_bits = _round16(xs).astype(np.float16).view(np.uint16)
     bit_exact = bool(np.array_equal(ref_bits, emu_bits))
-    spot = np.random.default_rng(9603).choice(xs, size=512, replace=False)
-    spot_ok = all(
-        np.float16(round_binary16(float(v))).view(np.uint16)
-        == binary16_reference_bits(float(v))
-        for v in spot
-    )
     print(
         "    measured direct-route relative errors (reported, not asserted):",
         ["%.2e" % e for e in direct_route_errs],
@@ -335,7 +331,7 @@ def test_criterion_07_mixed_precision():
             ("multiplication count exactly 5 per step", counts_ok, "5*M verified"),
             (
                 "binary16 emulation bit-exact vs independent encoder (1e6 + boundaries)",
-                bit_exact and spot_ok,
+                bit_exact,
                 f"{samples} samples",
             ),
         ],

@@ -359,10 +359,44 @@ class TestErrorPaths:
             ["respond", *gen, "--overlap", str(tmp_path / "s8.mtx")],
             ["ground-state", *gen, "--h1", str(tmp_path / "h1.mtx")],
             ["benchmark", "--kind", "chain", "--size", "50", "--sizes", "50"],
+            # gapped_random spectra lie within [-2, 2], so the gap must stay below 4
+            ["respond", *gen, "--gap", "4"],
+            ["respond", *gen, "--gap", "9"],
+            ["ground-state", *gen, "--gap", "4"],
+            ["audit", *gen, "--gap", "4"],
+            ["benchmark", "--kind", "gapped_random", "--sizes", "20", "--gap", "4"],
         ]:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+
+    def test_gapped_random_gap_limit_refused_before_inputs(self, tmp_path, monkeypatch):
+        real = cli._load_or_generate
+        monkeypatch.setattr(cli, "_load_or_generate", lambda cfg: pytest.fail("inputs assembled"))
+        with pytest.raises(SystemExit) as exc:
+            main(["respond", "--kind", "gapped_random", "--size", "20", "--gap", "4"])
+        assert exc.value.code == 2
+        monkeypatch.setattr(cli, "_load_or_generate", real)
+        # the limit is the model's bandwidth: just below it, and any chain gap, run
+        for argv in (
+            ["respond", "--kind", "gapped_random", "--size", "20", "--gap", "3.9"],
+            ["respond", "--kind", "chain", "--size", "20", "--gap", "4"],
+            ["benchmark", "--kind", "chain", "--sizes", "20", "--gap", "4"],
+        ):
+            code, rep = run_cli(argv, tmp_path)
+            assert code == 0 and rep["error"] is None, argv
+
+    @pytest.mark.parametrize("subcommand", sorted(cli.REFUSED))
+    def test_parser_defaults_are_run_config_defaults(self, subcommand):
+        # _given compares against RunConfig, so a parser default that differed
+        # would count as a given flag on every run
+        argv = [subcommand] + (["--sizes", "8"] if subcommand == "benchmark" else [])
+        parsed = vars(cli.build_parser().parse_args(argv))
+        defaults = {
+            k: v for k, v in cli._DEFAULTS.items() if k in parsed and k not in ("subcommand", "sizes")
+        }
+        assert {k: parsed[k] for k in defaults} == defaults
+        assert not any(cli._given(cli.RunConfig(**parsed), flag) for flag in defaults)
 
     @pytest.mark.parametrize("out", ["/nonexistent/dir/r.json", "DIRECTORY"])
     def test_unwritable_out_exit_2(self, tmp_path, monkeypatch, out):

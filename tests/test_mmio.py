@@ -57,6 +57,9 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         ("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n", 2),
         ("%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n", 2),
         ("%%MatrixMarket matrix array real general\n2 2\n1\nbogus\n0\n1\n", 4),
+        ("%%MatrixMarket matrix array real general\n2 2\n1\nnan\n0\n1\n", 4),
+        ("%%MatrixMarket matrix array real general\n2 2\n1\ninf\n-inf\n1\n", 4),
+        ("%%MatrixMarket matrix array real general\n2 2\n% c\n1\n0\n0\n1e400\n", 7),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 0.5\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n3 1 0.5\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n2 1 0.5\n1 1 1\n2 1 0.7\n", 5),

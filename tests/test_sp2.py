@@ -360,7 +360,7 @@ class TestEngineBoundary:
         assert trace_r == trace
         assert _bits(xr) == _bits(x) and _bits(yr) == _bits(y)
         if kernel in ("f32", "split16"):
-            assert replay_ops.counter.count == fresh_ops.counter.count
+            assert replay_ops.mult_count == fresh_ops.mult_count
 
     def test_gate_runs_once_per_fresh_run_never_on_replay(self, monkeypatch):
         gated = []
