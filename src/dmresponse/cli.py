@@ -4,8 +4,9 @@ Loads or generates model matrices, executes the requested pipeline
 (ground state, response/susceptibility in any variant, duality audit,
 benchmark sweep), and writes one JSON report per run. Reports are
 deterministic for a fixed configuration and seed, up to the "timing"
-section. ground-state, respond and audit run the route's solver from
-``SOLVERS``; audit adds one independent oracle value.
+section. Every subcommand runs the route's solver from ``SOLVERS``: audit
+adds one independent oracle value, and benchmark runs the sparse route at
+each of its dimensions.
 
 Every run's flags resolve into exactly one route (scf, thermal, sparse,
 f32, split16, dense or dense_orthogonalized) before any input is read; see
@@ -23,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,6 +70,10 @@ class UsageError(Exception):
 # route resolution
 
 _GENERATED = "benchmark generates its own inputs; drop --h0, --h1 and --obs"
+
+# benchmark runs a chain at this drop tolerance unless --kind and --tau say
+# otherwise (see `run`), so it always takes the sparse route
+BENCHMARK_TAU = 1e-6
 
 # flags each subcommand refuses whatever the route, with the reason
 REFUSED = {
@@ -139,8 +144,11 @@ def _route(cfg: RunConfig) -> str:
         raise UsageError(f"--tau must be finite and non-negative, got {cfg.tau}")
     if not 0.0 < cfg.fd_step < math.inf:
         raise UsageError(f"--fd-step must be finite and positive, got {cfg.fd_step}")
-    if any(n is not None and n < 2 for n in (cfg.size, *cfg.sizes)):
+    dims = [n for n in (cfg.size, *cfg.sizes) if n is not None]
+    if any(n < 2 for n in dims):
         raise UsageError("model dimensions (--size, --sizes) must be at least 2")
+    for n in dims:
+        _resolve_n_occ(cfg, n)
     if not 0.0 < cfg.gap < math.inf:
         raise UsageError(f"--gap must be finite and positive, got {cfg.gap}")
     # a gapped_random spectrum fills [-bandwidth, -gap/2] and [gap/2, bandwidth]
@@ -153,6 +161,9 @@ def _route(cfg: RunConfig) -> str:
         raise UsageError(f"--model-overlap must lie in (0, 0.5), got {cfg.model_overlap}")
     if cfg.kernel is not None:
         _kernel_spec(cfg.kernel)
+    for flag, reason in REFUSED[cfg.subcommand].items():
+        if _given(cfg, flag):
+            raise UsageError(reason)
     if cfg.h0:
         for flag in GENERATOR:
             if _given(cfg, flag):
@@ -161,9 +172,6 @@ def _route(cfg: RunConfig) -> str:
                 )
     if _given(cfg, "model_overlap") and cfg.kind != "overlap_chain":
         raise UsageError("--model-overlap applies only to a generated overlap_chain")
-    for flag, reason in REFUSED[cfg.subcommand].items():
-        if _given(cfg, flag):
-            raise UsageError(reason)
     if cfg.kernel is not None:
         route = "scf"
     elif cfg.beta_t is not None:
@@ -190,55 +198,75 @@ def _dim(m) -> int:
     return m.dim if isinstance(m, SparseMatrix) else m.shape[0]
 
 
-def _load_or_generate(cfg: RunConfig):
-    """Resolve (h0, s, a, h1) from files and/or the model generator.
+def _in_storage(m, tau: float | None):
+    """m as a dense array without a drop tolerance, else in sparse storage at
+    tau. A loaded coordinate file is exactly symmetric, so it is
+    re-thresholded without densifying."""
+    if tau is None:
+        return m.to_dense() if isinstance(m, SparseMatrix) else m
+    if not isinstance(m, SparseMatrix):
+        return sparse.sparsify(m, tau)
+    return m if m.tau == tau else sparse.threshold(m.csr.copy(), tau)
 
-    Generated runs fill any missing observable/perturbation with seeded
-    random symmetric matrices so a bare model run is self-contained;
-    ground-state takes no perturbation, so its h1 is None. Coordinate files
-    for h0, the observable and the perturbation stay in sparse storage when
-    --tau is given; otherwise they are densified.
+
+def _load_or_generate(cfg: RunConfig):
+    """Resolve (h0, s, a, h1) from files and/or the model generator, each in
+    the route's storage (see _in_storage).
+
+    A generated run fills a missing observable or perturbation with a seeded
+    random matrix: dense and symmetric without --tau, and with it a diagonal
+    observable and a symmetric bond (first off-diagonal) perturbation. With
+    --tau a chain is built from its diagonals too, so no N x N array is
+    formed that is not one on disk or in the model. ground-state takes no
+    perturbation, so its h1 is None.
     """
     rng = np.random.default_rng(cfg.seed)
     s = None
 
-    def load(path):
+    def load(path, tag, tau=cfg.tau, n=None):
         try:
             m = read_matrix_market(path)
         except OSError as exc:
             raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-        return m.to_dense() if isinstance(m, SparseMatrix) and cfg.tau is None else m
+        m = _in_storage(m, tau)
+        if n is not None and _dim(m) != n:
+            raise UsageError(f"--{tag} has dimension {_dim(m)}, h0 has {n}")
+        return m
 
     if cfg.h0:
-        h0 = load(cfg.h0)
+        h0 = load(cfg.h0, "h0")
     elif cfg.kind:
         if cfg.size is None:
             raise UsageError("--size is required when generating a model")
         spec = models.ModelSpec(
-            kind=cfg.kind,
-            n=cfg.size,
-            gap=cfg.gap,
-            seed=cfg.seed,
-            overlap=cfg.model_overlap,
+            cfg.kind, cfg.size, cfg.gap, seed=cfg.seed, overlap=cfg.model_overlap, n_below=cfg.n_occ
         )
-        h0, s = models.generate_model(spec)
+        if cfg.kind == "chain" and cfg.tau is not None:
+            onsite, hopping = models.chain_diagonals(cfg.size, cfg.gap)
+            h0 = sparse.from_diagonals([hopping, onsite, hopping], [-1, 0, 1], cfg.tau)
+        else:
+            h0, s = models.generate_model(spec)
+            h0 = _in_storage(h0, cfg.tau)
     else:
         raise UsageError("supply --h0 FILE or --kind MODEL")
     n = _dim(h0)
 
-    def aux(path, tag):
+    def aux(path, tag, offsets, tau=cfg.tau):
+        """The file's operand, or a fill-in whose random band lies on the
+        given diagonals under --tau."""
         if path:
-            m = load(path)
-            if _dim(m) != n:
-                raise UsageError(f"--{tag} has dimension {_dim(m)}, h0 has {n}")
-            return m
-        return linalg.symmetrize(rng.standard_normal((n, n)))
+            return load(path, tag, tau, n)
+        if cfg.tau is None:
+            return linalg.symmetrize(rng.standard_normal((n, n)))
+        band = rng.uniform(-1.0, 1.0, n - abs(offsets[0]))
+        return sparse.from_diagonals([band] * len(offsets), offsets, tau)
 
     if cfg.overlap:
-        s = aux(cfg.overlap, "overlap")
-    a = aux(cfg.obs, "obs")
-    h1 = None if cfg.subcommand == "ground-state" else aux(cfg.h1, "h1")
-    return h0, s, a, h1
+        s = load(cfg.overlap, "overlap", n=n)
+    if cfg.subcommand == "ground-state":
+        # the ground-state expectation value keeps every entry of A
+        return h0, s, aux(cfg.obs, "obs", (0,), None if cfg.tau is None else 0.0), None
+    return h0, s, aux(cfg.obs, "obs", (0,)), aux(cfg.h1, "h1", (-1, 1))
 
 
 def _resolve_n_occ(cfg: RunConfig, n: int) -> int:
@@ -288,14 +316,6 @@ def _trace_summary(trace: sp2.Sp2Trace) -> dict:
         "idempotency_log_tail": [float(v) for v in tail],
         "spectral_bounds": [trace.bounds.eps_min, trace.bounds.eps_max],
     }
-
-
-def _as_sparse(m, tau: float) -> SparseMatrix:
-    """m in sparse storage at drop tolerance tau. A loaded coordinate file
-    is exactly symmetric, so it is re-thresholded without densifying."""
-    if not isinstance(m, SparseMatrix):
-        return sparse.sparsify(m, tau)
-    return m if m.tau == tau else sparse.threshold(m.csr.copy(), tau)
 
 
 def pairwise_deviations(values: dict[str, float]) -> dict[str, float]:
@@ -376,44 +396,42 @@ def _solve_thermal(cfg, h0, s, a, h1, n_occ) -> dict:
 
 
 def _solve_sp2(cfg, h0, s, a, h1, n_occ) -> dict:
-    """Dense (orthonormal basis) or thresholded-sparse SP2; every operand of
-    one run is in one storage kind."""
-    out = {}
-    trace_product = linalg.trace_product
-    if cfg.tau is not None:
-        trace_product = sparse.sp_trace_product
-        out["tau"] = cfg.tau
-        h0 = _as_sparse(h0, cfg.tau)
-        # the ground-state expectation value keeps every entry of A
-        a = _as_sparse(a, cfg.tau if h1 is not None else 0.0)
-        h1 = None if h1 is None else _as_sparse(h1, cfg.tau)
+    """Dense (orthonormal basis) or thresholded-sparse SP2 on operands that
+    _load_or_generate put in the route's storage."""
+    is_sparse = cfg.tau is not None
+    trace_product = sparse.sp_trace_product if is_sparse else linalg.trace_product
+    out = {"tau": cfg.tau} if is_sparse else {}
     if h1 is None:
         d0, trace = sp2.sp2_ground_state(h0, n_occ)
-        out.update(a0=trace_product(a, d0), expansion=_trace_summary(trace))
-        if cfg.tau is not None:
-            out.update(nnz_d0=d0.nnz, trace_d0=d0.trace())
+        if is_sparse:
+            out["trace_d0"] = d0.trace()
         else:
             out.update(
                 trace_d0=float(np.trace(d0)),
                 idempotency_fro=float(np.linalg.norm(d0 @ d0 - d0)),
             )
-        return out
-    values = {}
-    trace = None
-    if _wants(cfg, "perturb"):
-        d0, d1, trace = response.dm_perturbation_forward(h0, h1, n_occ)
-        values["a1_direct"] = trace_product(a, d1)
-    if _wants(cfg, "suscept-fwd"):
-        d0, chi, trace = response.susceptibility_forward(h0, a, n_occ, trace=trace)
-        values["a1_dual_forward"] = trace_product(chi, h1)
-    if _wants(cfg, "suscept-bwd"):
-        d0, chi_b, trace_b = response.susceptibility_backward(h0, a, n_occ)
-        values["a1_dual_backward"] = trace_product(chi_b, h1)
-        if cfg.tau is None:
-            # sparse iterates hold only their nnz entries, so no N^2 count
-            out["backward_stored_floats"] = trace_b.m_steps * h0.shape[0] ** 2
-        trace = trace or trace_b
-    out.update(a0=trace_product(a, d0), values=values, expansion=_trace_summary(trace))
+    else:
+        values = {}
+        trace = None
+        if _wants(cfg, "perturb"):
+            d0, d1, trace = response.dm_perturbation_forward(h0, h1, n_occ)
+            values["a1_direct"] = trace_product(a, d1)
+        if _wants(cfg, "suscept-fwd"):
+            d0, chi, trace = response.susceptibility_forward(h0, a, n_occ, trace=trace)
+            values["a1_dual_forward"] = trace_product(chi, h1)
+            if is_sparse:
+                out["nnz_chi"] = chi.nnz
+        if _wants(cfg, "suscept-bwd"):
+            d0, chi_b, trace_b = response.susceptibility_backward(h0, a, n_occ)
+            values["a1_dual_backward"] = trace_product(chi_b, h1)
+            if not is_sparse:
+                # sparse iterates hold only their nnz entries, so no N^2 count
+                out["backward_stored_floats"] = trace_b.m_steps * h0.shape[0] ** 2
+            trace = trace or trace_b
+        out["values"] = values
+    out.update(a0=trace_product(a, d0), expansion=_trace_summary(trace))
+    if is_sparse:
+        out.update(nnz_d0=d0.nnz, max_nnz_per_row_d0=d0.max_nnz_per_row())
     return out
 
 
@@ -474,8 +492,8 @@ SOLVERS = {
 
 
 def _run_route(cfg: RunConfig, route: str) -> dict:
-    """ground-state and respond: load the inputs, apply the overlap, and run
-    the route's solver."""
+    """ground-state, respond and each size of benchmark: load the inputs,
+    apply the overlap, and run (and time) the route's solver."""
     h0, s, a, h1 = _load_or_generate(cfg)
     n = _dim(h0)
     n_occ = _resolve_n_occ(cfg, n)
@@ -490,7 +508,9 @@ def _run_route(cfg: RunConfig, route: str) -> dict:
     results: dict = {"dim": n, "n_occ": n_occ, "route": route}
     if cfg.subcommand == "respond":
         results["mode"] = cfg.mode
+    started = time.perf_counter()
     results.update(SOLVERS[route](cfg, h0, s, a, h1, n_occ))
+    results["solve_s"] = time.perf_counter() - started
     if "values" in results:
         results["duality_deviations"] = pairwise_deviations(results["values"])
     return results
@@ -545,42 +565,13 @@ def _run_audit(cfg: RunConfig, route: str) -> dict:
 
 
 def _run_benchmark(cfg: RunConfig, route: str) -> dict:
-    kind = cfg.kind or "chain"
-    tau = cfg.tau if cfg.tau is not None else 1e-6
-    per_size = []
-    rng = np.random.default_rng(cfg.seed)
-    for n in cfg.sizes:
-        # _route has checked n and gap; the spec adds gapped_random's bandwidth limit
-        spec = models.ModelSpec(kind=kind, n=n, gap=cfg.gap, seed=cfg.seed)
-        n_occ = _resolve_n_occ(cfg, n)
-        # A is diagonal and H1 the chain itself, so both (and a chain H0) are
-        # built from their diagonals, with no N x N array
-        onsite, hopping = models.chain_diagonals(n, cfg.gap)
-        h1_s = sparse.from_diagonals([hopping, onsite, hopping], [-1, 0, 1], tau)
-        a_s = sparse.from_diagonals([rng.uniform(-1.0, 1.0, n)], [0], tau)
-        hs = h1_s if kind == "chain" else sparse.sparsify(models.generate_model(spec)[0], tau)
-        t0 = time.perf_counter()
-        d0, chi, trace = response.susceptibility_forward(hs, a_s, n_occ)
-        wall = time.perf_counter() - t0
-        per_size.append(
-            {
-                "n": n,
-                "n_occ": n_occ,
-                "tau": tau,
-                "wall_s": wall,
-                "nnz_d0": d0.nnz,
-                "nnz_chi": chi.nnz,
-                "max_nnz_per_row_d0": d0.max_nnz_per_row(),
-                "m_steps": trace.m_steps,
-                "a0": sparse.sp_trace_product(a_s, d0),
-                "a1_dual": sparse.sp_trace_product(chi, h1_s),
-            }
-        )
+    """The sparse route's forward susceptibility at each --sizes dimension."""
+    per_size = [_run_route(replace(cfg, size=n, mode="suscept-fwd"), route) for n in cfg.sizes]
     ratios = {}
     for prev, cur in zip(per_size, per_size[1:]):
-        if cur["n"] == 2 * prev["n"] and prev["wall_s"] > 0:
-            ratios[f"{cur['n']}/{prev['n']}"] = cur["wall_s"] / prev["wall_s"]
-    return {"kind": kind, "per_size": per_size, "time_ratios": ratios}
+        if cur["dim"] == 2 * prev["dim"] and prev["solve_s"] > 0:
+            ratios[f"{cur['dim']}/{prev['dim']}"] = cur["solve_s"] / prev["solve_s"]
+    return {"kind": cfg.kind, "per_size": per_size, "time_ratios": ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +594,6 @@ def _check_out(out: str | None):
 def run(cfg: RunConfig) -> tuple[int, dict]:
     """Execute one configured pipeline; returns (exit_code, report)."""
     _check_out(cfg.out)
-    route = _route(cfg)
-    started = time.perf_counter()
     report = {
         "schema": REPORT_SCHEMA,
         "subcommand": cfg.subcommand,
@@ -612,6 +601,12 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         "precision": cfg.precision,
         "error": None,
     }
+    if cfg.subcommand == "benchmark":
+        # the benchmark's own defaults, which are not the parser's
+        tau = BENCHMARK_TAU if cfg.tau is None else cfg.tau
+        cfg = replace(cfg, kind=cfg.kind or "chain", tau=tau)
+    route = _route(cfg)
+    started = time.perf_counter()
     runner = {"audit": _run_audit, "benchmark": _run_benchmark}.get(cfg.subcommand, _run_route)
     code = 0
     try:
@@ -633,10 +628,11 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
 def _strip_timing(results: dict) -> dict:
     """Move wall-clock fields out of the deterministic results section."""
     timing = {}
+    if "solve_s" in results:
+        timing["solve_s"] = results.pop("solve_s")
     if results.get("per_size"):
-        walls = [entry.pop("wall_s", None) for entry in results["per_size"]]
-        timing["per_size_wall_s"] = walls
-        timing["time_ratios"] = results.pop("time_ratios", {})
+        timing["per_size_wall_s"] = [entry.pop("solve_s") for entry in results["per_size"]]
+        timing["time_ratios"] = results.pop("time_ratios")
     return timing
 
 

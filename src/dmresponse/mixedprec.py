@@ -128,6 +128,12 @@ class _F32Ops(_DenseOps):
 
     name = "low-precision expansion"
     stall_hint = "small gaps are often unresolvable at reduced precision"
+    # A stall is the float32 noise floor only at or below sqrt(N) times this
+    # (see `sp2._expand`). Over gapped random H at N <= 512, both kernels'
+    # converged runs stalled below 1e-5 sqrt(N), while runs stopped before the
+    # states next to the gap were sorted into their bands rose past
+    # 1.3e-3 sqrt(N).
+    stall_tol = 1000 * float(np.finfo(np.float32).eps)
 
     def __init__(self, h0: np.ndarray):
         super().__init__(h0)

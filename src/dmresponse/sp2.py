@@ -45,7 +45,9 @@ MAX_ITERATIONS = 120
 
 # Stop once |Tr[X^2 - X]| falls below this per-dimension floor ...
 IDEMPOTENCY_FLOOR = 1e-15
-# ... or once it has ceased to decrease over two consecutive steps.
+# ... or once it has ceased to decrease over two consecutive steps at or
+# below sqrt(N) times the kernel's `stall_tol`; above that, the error may
+# still rise while the spectrum is sorted into the two bands.
 
 # Acceptance thresholds for a converged dense run (see `_DenseOps.gate`).
 TRACE_TOL = 1e-8
@@ -113,6 +115,9 @@ class _DenseOps:
     trace_tol = TRACE_TOL
     idempotency_tol = IDEMPOTENCY_TOL
     tol_hint = ""
+    # a stall is taken for the noise floor only at or below sqrt(N) times
+    # this (see `_expand`); above the gate's limit it could not pass anyway
+    stall_tol = IDEMPOTENCY_TOL
 
     def __init__(self, h0: np.ndarray):
         self.n = h0.shape[0]
@@ -202,6 +207,7 @@ class _SparseOps(_DenseOps):
         scale = self.tau * math.sqrt(self.n)
         self.trace_tol = max(TRACE_TOL, scale)
         self.idempotency_tol = max(IDEMPOTENCY_TOL, SPARSE_IDEMPOTENCY_FACTOR * scale)
+        self.stall_tol = self.idempotency_tol
         self.tol_hint = f"; the drop tolerance tau = {self.tau:.3e} may be too coarse for this system"
 
     def check(self, m, name: str) -> None:
@@ -300,6 +306,7 @@ def _expand(h0, n_occ, bounds=None, y_seed=None, replay_sigmas=None, backward=No
     x = ops.seed(alpha, beta, h0)
     y = ops.scale(beta, y_seed) if y_seed is not None else None
     floor = IDEMPOTENCY_FLOOR * n
+    stall_ceiling = ops.stall_tol * math.sqrt(n)
     target = float(n_occ)
 
     plan = replay_sigmas
@@ -318,7 +325,9 @@ def _expand(h0, n_occ, bounds=None, y_seed=None, replay_sigmas=None, backward=No
             log.append(abs(tr_x2 - tr_x))
             if plan is not None:
                 sigma = plan[len(sigmas)]
-            elif log[-1] <= floor or (len(log) >= 3 and log[-1] >= log[-2] >= log[-3]):
+            elif log[-1] <= floor or (
+                len(log) >= 3 and stall_ceiling >= log[-1] >= log[-2] >= log[-3]
+            ):
                 # the first tail step reuses this square, so the per-step
                 # multiply count stays uniform
                 plan = (*sigmas, 1, -1)

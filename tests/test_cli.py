@@ -13,6 +13,19 @@ from dmresponse.sparse import sparsify
 from conftest import random_symmetric
 
 
+def forbid_dense_inputs(monkeypatch):
+    """Fail on any N x N array of a sparse chain run's inputs: a dense model,
+    a dense-to-sparse conversion or a densified sparse matrix."""
+
+    def dense(*args, **kwargs):
+        raise AssertionError("a sparse chain run builds its inputs from their diagonals")
+
+    for name in ("generate_model", "chain_hamiltonian"):
+        monkeypatch.setattr(models, name, dense)
+    monkeypatch.setattr(sparse, "sparsify", dense)
+    monkeypatch.setattr(sparse.SparseMatrix, "to_dense", dense)
+
+
 def run_cli(args, tmp_path, name="report.json"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
@@ -183,6 +196,54 @@ class TestRespond:
                 assert calls == []
         assert calls and set(calls) == {"ndarray"}
         assert reports[0]["results"] == reports[1]["results"]
+
+    @pytest.mark.parametrize("mode", ["suscept-fwd", "both"])
+    def test_tau_chain_inputs_stay_sparse(self, tmp_path, monkeypatch, mode):
+        # the chain and the filled-in observable (a diagonal) and perturbation
+        # (a bond matrix) are built in sparse storage, so chi stays as sparse
+        # as D0
+        forbid_dense_inputs(monkeypatch)
+        argv = ["respond", "--kind", "chain", "--size", "200", "--tau", "1e-6", "--mode", mode]
+        code, rep = run_cli(argv, tmp_path)
+        assert code == 0 and rep["error"] is None
+        res = rep["results"]
+        assert res["route"] == "sparse" and res["tau"] == 1e-6
+        assert 0 < res["nnz_chi"] <= 2 * res["nnz_d0"]
+        assert res["max_nnz_per_row_d0"] < 200
+        # the routes agree to the drop tolerance
+        assert all(d <= 1e-6 for d in res["duality_deviations"].values())
+
+    def test_tau_chain_matches_sparsified_dense_chain(self, tmp_path):
+        # a chain built from its diagonals is the sparsified dense chain, bit for bit
+        argv = ["ground-state", "--tau", "1e-6", "--nocc", "30"]
+        write_matrix_market(tmp_path / "h.mtx", chain_hamiltonian(60, 1.0))
+        code, from_file = run_cli(argv + ["--h0", str(tmp_path / "h.mtx")], tmp_path, "f.json")
+        assert code == 0
+        code, generated = run_cli(argv + ["--kind", "chain", "--size", "60"], tmp_path, "g.json")
+        assert code == 0
+        assert generated["results"] == from_file["results"]
+
+    def test_gapped_random_gap_sits_at_nocc(self, tmp_path):
+        # --nocc places the generated gap, so a run away from half filling converges
+        argv = ["respond", "--kind", "gapped_random", "--size", "100", "--gap", "2.0", "--seed", "7"]
+        cfg = cli.RunConfig("respond", kind="gapped_random", size=100, gap=2.0, seed=7, n_occ=40)
+        eps = np.linalg.eigvalsh(cli._load_or_generate(cfg)[0])
+        assert eps[40] - eps[39] >= 2.0
+        code, rep = run_cli(argv + ["--nocc", "40"], tmp_path, "nocc40.json")
+        assert code == 0 and rep["error"] is None
+        assert rep["results"]["n_occ"] == 40
+        assert all(d <= 1e-9 for d in rep["results"]["duality_deviations"].values())
+        # the reduced-precision runs converge there too, within criterion 7's
+        # bounds of the float64 route
+        for precision, bound in (("f32", 1e-4), ("split16", 0.05)):
+            low_argv = argv + ["--nocc", "40", "--mode", "both", "--precision", precision]
+            code, low = run_cli(low_argv, tmp_path, f"{precision}.json")
+            assert code == 0 and low["error"] is None
+            assert all(e <= bound for e in low["results"]["relative_error_vs_f64"].values())
+        # --nocc at half filling keeps the model of a run without --nocc
+        _, default = run_cli(argv, tmp_path, "default.json")
+        _, half = run_cli(argv + ["--nocc", "50"], tmp_path, "half.json")
+        assert half["results"] == default["results"]
 
     def test_backward_stored_floats_only_on_dense_route(self, tmp_path):
         # sparse iterates store nnz entries, not N^2, so the sparse route
@@ -369,6 +430,28 @@ class TestErrorPaths:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["benchmark", "--kind", "chain", "--sizes", "100,20", "--nocc", "50"],
+            ["respond", "--kind", "chain", "--size", "20", "--nocc", "20"],
+            ["respond", "--kind", "gapped_random", "--size", "20", "--nocc", "0"],
+            ["ground-state", "--kind", "gapped_random", "--size", "20", "--nocc", "-3"],
+        ],
+    )
+    def test_bad_nocc_refused_before_any_expansion(self, monkeypatch, argv):
+        # --nocc is checked against every generated dimension before any
+        # model is built or any expansion runs
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done for a refused --nocc")
+
+        monkeypatch.setattr(sp2, "_expand", no_work)
+        monkeypatch.setattr(response, "_expand", no_work)
+        monkeypatch.setattr(models, "generate_model", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_gapped_random_gap_limit_refused_before_inputs(self, tmp_path, monkeypatch):
         real = cli._load_or_generate
@@ -576,21 +659,14 @@ class TestAuditAndBenchmark:
         # the routes call the engine by the name they imported
         monkeypatch.setattr(sp2, "_expand", spy)
         monkeypatch.setattr(response, "_expand", spy)
-
-        def dense(*args, **kwargs):
-            raise AssertionError("a chain benchmark builds its inputs from their diagonals")
-
-        # no N x N array: neither a dense model nor a dense-to-sparse conversion
-        for name in ("generate_model", "chain_hamiltonian"):
-            monkeypatch.setattr(models, name, dense)
-        monkeypatch.setattr(sparse, "sparsify", dense)
+        forbid_dense_inputs(monkeypatch)
         code, rep = run_cli(
             ["benchmark", "--kind", "chain", "--sizes", "100,200", "--tau", "1e-6"],
             tmp_path,
         )
         assert code == 0
         assert expanded == [100, 200]  # one expansion per size
-        assert [e["n"] for e in rep["results"]["per_size"]] == [100, 200]
+        assert [e["dim"] for e in rep["results"]["per_size"]] == [100, 200]
         assert "200/100" in rep["timing"]["time_ratios"]
         assert all(e["nnz_d0"] > 0 for e in rep["results"]["per_size"])
 
@@ -620,8 +696,9 @@ def expected_route(sub, flags):
     precision = next((p for p in ("f32", "split16") if p in flags), None)
     if sub[0] == "audit" and ({"kernel", "tau"} & set(flags) or precision or overlap):
         return None
-    if sub[0] == "benchmark" and ({"kernel", "beta_t"} & set(flags) or precision or overlap):
-        return None
+    if sub[0] == "benchmark":
+        # tau defaults to BENCHMARK_TAU, so benchmark always runs the sparse route
+        return None if {"kernel", "beta_t"} & set(flags) or precision or overlap else "sparse"
     if "kernel" in flags:
         route, refused = "scf", "tau" in flags or precision
     elif "beta_t" in flags:
@@ -661,6 +738,8 @@ def test_route_table(tmp_path, overlap_file, sub, flags):
     assert code == 0 and rep["error"] is None
     if sub[0] in ("ground-state", "respond"):
         assert rep["results"]["route"] == route
+    if sub[0] == "benchmark":
+        assert [e["route"] for e in rep["results"]["per_size"]] == [route]
 
 
 def test_refused_combination_opens_no_file(tmp_path, monkeypatch):

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmresponse import mixedprec, sp2
 from dmresponse.exceptions import ConvergenceError
@@ -112,6 +114,19 @@ class TestGroundState:
             sp2_ground_state(h0, 6)
         if isinstance(exc.value, ConvergenceError):
             assert len(exc.value.history) > 0
+
+    @given(st.data(), st.integers(min_value=2, max_value=40), st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_converges_at_any_occupation_of_a_gap(self, data, n, seed):
+        # the stall rule must not stop a run whose error still rises while the
+        # spectrum is sorted into its bands: with Gershgorin bounds far wider
+        # than the spectrum [-2, 2] and the gap away from half filling, the
+        # error rises three steps in a row long before the noise floor
+        n_occ = data.draw(st.integers(min_value=1, max_value=n - 1))
+        gap = data.draw(st.floats(min_value=4e-3, max_value=3.9))  # >= 1e-3 of the width
+        d0, _ = sp2_ground_state(gapped_random_hamiltonian(n, gap, n_occ, seed), n_occ)
+        assert abs(np.trace(d0) - n_occ) <= 1e-8
+        assert np.linalg.norm(d0 @ d0 - d0) <= 1e-7
 
 
 class TestSparseGroundState:
