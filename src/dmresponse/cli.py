@@ -151,8 +151,8 @@ def _route(cfg: RunConfig) -> str:
         _resolve_n_occ(cfg, n)
     if not 0.0 < cfg.gap < math.inf:
         raise UsageError(f"--gap must be finite and positive, got {cfg.gap}")
-    # a gapped_random spectrum fills [-bandwidth, -gap/2] and [gap/2, bandwidth]
-    max_gap = 2.0 * models.ModelSpec.bandwidth
+    # a gapped_random spectrum fills [-BANDWIDTH, -gap/2] and [gap/2, BANDWIDTH]
+    max_gap = 2.0 * models.BANDWIDTH
     if cfg.kind == "gapped_random" and cfg.gap >= max_gap:
         raise UsageError(f"--gap must be below {max_gap} for gapped_random, got {cfg.gap}")
     if cfg.seed < 0:

@@ -50,9 +50,10 @@ class SpectralBounds:
 def symmetric_matrix(data) -> np.ndarray:
     """Validate and symmetrize user-supplied matrix data.
 
-    Returns (X + X^T)/2 as a fresh float64 array. Asymmetry above
-    ``ASYMMETRY_RTOL * ||X||_F`` is rejected rather than repaired, since that
-    points at corrupt input instead of file-format rounding noise.
+    Returns X/2 + X^T/2 (halved first, so it cannot overflow) as a fresh
+    float64 array. Asymmetry above ``ASYMMETRY_RTOL * ||X||_F``, measured on
+    X / max|X_ij| for the same reason, is rejected rather than repaired,
+    since that points at corrupt input instead of file-format rounding noise.
     """
     x = np.array(data, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -61,14 +62,17 @@ def symmetric_matrix(data) -> np.ndarray:
         raise ValueError("matrix dimension must be at least 1")
     if not np.all(np.isfinite(x)):
         raise ValueError("matrix contains non-finite entries")
-    norm = float(np.linalg.norm(x))
-    asym = float(np.linalg.norm(x - x.T))
+    peak = float(np.max(np.abs(x)))
+    unit = x / peak if peak > 0.0 else x
+    norm = float(np.linalg.norm(unit))
+    asym = float(np.linalg.norm(unit - unit.T))
     if asym > ASYMMETRY_RTOL * norm:
         raise ValueError(
-            f"matrix is not symmetric: ||X - X^T||_F = {asym:.3e} "
-            f"exceeds {ASYMMETRY_RTOL:g} * ||X||_F = {ASYMMETRY_RTOL * norm:.3e}"
+            f"matrix is not symmetric: ||X - X^T||_F / ||X||_F = {asym / norm:.3e} "
+            f"exceeds {ASYMMETRY_RTOL:g}"
         )
-    return 0.5 * (x + x.T)
+    half = 0.5 * x
+    return half + half.T
 
 
 def symmetrize(x: np.ndarray) -> np.ndarray:

@@ -79,8 +79,7 @@ def _round_array16(x: np.ndarray) -> np.ndarray:
     """`_round16` with its input checked: non-finite values raise
     ValueError, magnitudes beyond the largest binary16 normal
     OverflowError. The expansions keep their iterates inside [0, 1], so an
-    overflow is a bug or bad spectral bounds, never something to saturate
-    away."""
+    overflow is a bug, never something to saturate away."""
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot round non-finite values to binary16")
     if np.any(np.abs(x) > BINARY16_MAX):
@@ -174,6 +173,9 @@ class _F32Ops(_DenseOps):
         design, and its callers judge it against the float64 route
         (acceptance criterion 7)."""
 
+    def check_occupation(self, x, trace: Sp2Trace, hint: str) -> None:
+        """No occupation test on a replay either, for the same reason."""
+
 
 class _Split16Ops(_F32Ops):
     """Split16 `_expand` kernel: every product goes through the two-term
@@ -213,11 +215,11 @@ class _Split16Ops(_F32Ops):
         return q + q.T
 
 
-def _pipeline(kernel, h0, seed, n_occ, mode, bounds) -> MixedPipelineResult:
+def _pipeline(kernel, h0, seed, n_occ, mode) -> MixedPipelineResult:
     if mode not in PIPELINE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {PIPELINE_MODES}")
     ops = kernel(h0)
-    x, y, trace = _expand(h0, n_occ, bounds, y_seed=seed, ops=ops)
+    x, y, trace = _expand(h0, n_occ, y_seed=seed, ops=ops)
     return MixedPipelineResult(
         d0=x.astype(np.float64),
         response=None if y is None else y.astype(np.float64),
@@ -231,7 +233,6 @@ def mixed_response_pipeline(
     seed: np.ndarray | None,
     n_occ: int,
     mode: str = "susceptibility",
-    bounds=None,
 ) -> MixedPipelineResult:
     """Ground state plus first-order response, entirely in split precision.
 
@@ -244,7 +245,7 @@ def mixed_response_pipeline(
     seed=None only the ground state is expanded, at 2 products per step,
     and the response is None.
     """
-    return _pipeline(_Split16Ops, h0, seed, n_occ, mode, bounds)
+    return _pipeline(_Split16Ops, h0, seed, n_occ, mode)
 
 
 def single_precision_pipeline(
@@ -252,9 +253,8 @@ def single_precision_pipeline(
     seed: np.ndarray | None,
     n_occ: int,
     mode: str = "susceptibility",
-    bounds=None,
 ) -> MixedPipelineResult:
     """The same expansion with plain float32 products: the pure
     single-precision reference the split representation is judged against.
     seed=None expands the ground state alone, at 1 product per step."""
-    return _pipeline(_F32Ops, h0, seed, n_occ, mode, bounds)
+    return _pipeline(_F32Ops, h0, seed, n_occ, mode)

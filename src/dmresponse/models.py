@@ -16,13 +16,14 @@ from .linalg import symmetrize
 
 MODEL_KINDS = ("chain", "gapped_random", "overlap_chain")
 
+BANDWIDTH = 2.0  # gapped_random: the spectrum lies in [-BANDWIDTH, BANDWIDTH]
+
 
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
     n: int
     gap: float = 1.0
-    bandwidth: float = 2.0
     seed: int = 0
     overlap: float = 0.2  # overlap_chain only, in (0, 0.5)
     n_below: int | None = None  # gapped_random: states below zero (default n//2)
@@ -40,8 +41,8 @@ class ModelSpec:
             nb = self.n // 2 if self.n_below is None else self.n_below
             if not (1 <= nb <= self.n - 1):
                 raise ValueError("n_below must lie in [1, n-1]")
-            if self.bandwidth <= self.gap / 2:
-                raise ValueError("bandwidth must exceed gap/2")
+            if self.gap >= 2.0 * BANDWIDTH:
+                raise ValueError(f"gap must be below {2.0 * BANDWIDTH} for gapped_random")
 
 
 def chain_diagonals(n: int, gap: float) -> tuple[np.ndarray, np.ndarray]:
@@ -61,15 +62,13 @@ def chain_hamiltonian(n: int, gap: float) -> np.ndarray:
     return h
 
 
-def gapped_random_hamiltonian(
-    n: int, gap: float, n_below: int, seed: int, bandwidth: float = 2.0
-) -> np.ndarray:
+def gapped_random_hamiltonian(n: int, gap: float, n_below: int, seed: int) -> np.ndarray:
     """Dense symmetric matrix with `n_below` eigenvalues in
-    [-bandwidth, -gap/2] and the rest in [gap/2, bandwidth], conjugated by a
+    [-BANDWIDTH, -gap/2] and the rest in [gap/2, BANDWIDTH], conjugated by a
     seeded random orthogonal matrix."""
     rng = np.random.default_rng(seed)
-    lows = rng.uniform(-bandwidth, -gap / 2.0, size=n_below)
-    highs = rng.uniform(gap / 2.0, bandwidth, size=n - n_below)
+    lows = rng.uniform(-BANDWIDTH, -gap / 2.0, size=n_below)
+    highs = rng.uniform(gap / 2.0, BANDWIDTH, size=n - n_below)
     lam = np.sort(np.concatenate([lows, highs]))
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diagonal(r))
@@ -94,7 +93,7 @@ def generate_model(spec: ModelSpec) -> tuple[np.ndarray, np.ndarray | None]:
         return chain_hamiltonian(spec.n, spec.gap), None
     if spec.kind == "gapped_random":
         n_below = spec.n // 2 if spec.n_below is None else spec.n_below
-        h = gapped_random_hamiltonian(spec.n, spec.gap, n_below, spec.seed, spec.bandwidth)
+        h = gapped_random_hamiltonian(spec.n, spec.gap, n_below, spec.seed)
         return h, None
     h, s = overlap_chain_matrices(spec.n, spec.gap, spec.overlap)
     return h, s

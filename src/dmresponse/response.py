@@ -26,24 +26,21 @@ from .linalg import symmetrize, trace_product
 from .sp2 import Sp2Trace, _expand
 
 
-def dm_perturbation_forward(h0, h1, n_occ, bounds=None, trace: Sp2Trace | None = None):
+def dm_perturbation_forward(h0, h1, n_occ, trace: Sp2Trace | None = None):
     """First-order density-matrix response to a Hamiltonian perturbation.
 
     Runs the merged recursion: the ground-state iterate is generated on the
     fly (never stored as a sequence) while its directional derivative along
-    h1 evolves next to it, sharing every branch choice. Passing `trace`
-    replays a previous run's branch sequence and spectral bounds instead of
-    re-deriving them.
+    h1 evolves next to it, sharing every branch choice. Passing `trace`, the
+    record of an earlier run on the same h0 and n_occ, replays its branch
+    sequence and spectral bounds instead of re-deriving them.
 
     Returns (d0, d1, trace).
     """
-    replay = None
-    if trace is not None:
-        bounds, replay = trace.bounds, trace.sigmas
-    return _expand(h0, n_occ, bounds, y_seed=h1, replay_sigmas=replay)
+    return _expand(h0, n_occ, y_seed=h1, replay=trace)
 
 
-def susceptibility_forward(h0, a, n_occ, bounds=None, trace: Sp2Trace | None = None):
+def susceptibility_forward(h0, a, n_occ, trace: Sp2Trace | None = None):
     """Susceptibility of an observable by the forward expansion.
 
     Identical recursion to :func:`dm_perturbation_forward` with the
@@ -52,10 +49,10 @@ def susceptibility_forward(h0, a, n_occ, bounds=None, trace: Sp2Trace | None = N
 
     Returns (d0, chi, trace).
     """
-    return dm_perturbation_forward(h0, a, n_occ, bounds=bounds, trace=trace)
+    return dm_perturbation_forward(h0, a, n_occ, trace=trace)
 
 
-def susceptibility_backward(h0, a, n_occ, bounds=None):
+def susceptibility_backward(h0, a, n_occ):
     """Susceptibility by reverse-mode differentiation of Tr[A D0].
 
     Mathematically equal to the forward route, but requires the full stored
@@ -66,7 +63,7 @@ def susceptibility_backward(h0, a, n_occ, bounds=None):
 
     Returns (d0, chi, trace).
     """
-    return _expand(h0, n_occ, bounds, backward=a)
+    return _expand(h0, n_occ, backward=a)
 
 
 def z_position_derivative(s_inv: np.ndarray, s_tau: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -255,7 +255,7 @@ class ScfResponse:
     applications: int
 
 
-def scf_response(state: ScfState, seed: np.ndarray, cfg: ScfConfig | None = None) -> ScfResponse:
+def scf_response(state: ScfState, seed: np.ndarray) -> ScfResponse:
     """Coupled-perturbed response over a converged ground state: the density
     response when the seed is a Hamiltonian perturbation, the susceptibility
     when it is an observable.
@@ -266,16 +266,14 @@ def scf_response(state: ScfState, seed: np.ndarray, cfg: ScfConfig | None = None
     fixed point y = L(seed + G(y)), reached from y = L(seed) by the ground
     state's Anderson mixer. The fresh image is returned once it lies within
     eps_scf of y. Raises ConvergenceError with the residual history when
-    cfg.max_iters applications do not get there.
-
-    cfg (default: the state's) supplies c_mix, eps_scf and max_iters; the
-    temperature is always the one the state was built at.
+    max_iters applications do not get there. The state's cfg supplies
+    c_mix, eps_scf, max_iters and the temperature.
     """
-    cfg = state.cfg if cfg is None else cfg
+    cfg = state.cfg
     if seed.shape != state.d0.shape:
         raise ValueError(f"dimension mismatch: {seed.shape} vs {state.d0.shape}")
     z = state.z
-    beta_t = state.cfg.beta_t
+    beta_t = cfg.beta_t
 
     def derivative(x):
         x_perp = congruence_transform(x, z, "to_orthogonal")
@@ -301,13 +299,13 @@ def scf_response(state: ScfState, seed: np.ndarray, cfg: ScfConfig | None = None
     return ScfResponse(y, tuple(residuals), len(residuals) + 1)
 
 
-def scf_dm_response(state: ScfState, h1: np.ndarray, cfg: ScfConfig | None = None) -> np.ndarray:
+def scf_dm_response(state: ScfState, h1: np.ndarray) -> np.ndarray:
     """Self-consistent first-order density response to a Hamiltonian
     perturbation, over a converged ground state."""
-    return scf_response(state, h1, cfg).response
+    return scf_response(state, h1).response
 
 
-def scf_susceptibility(state: ScfState, a: np.ndarray, cfg: ScfConfig | None = None) -> np.ndarray:
+def scf_susceptibility(state: ScfState, a: np.ndarray) -> np.ndarray:
     """Self-consistent susceptibility of an observable, over a converged
     ground state; contracts with any Hamiltonian perturbation."""
-    return scf_response(state, a, cfg).response
+    return scf_response(state, a).response

@@ -69,39 +69,48 @@ DENORMAL_FLUSH = 1e-150
 class Sp2Trace:
     """Record of one ground-state expansion, sufficient to replay it.
 
-    alpha, beta_spec : scalars of the initial affine spectral transform
-        (beta_spec < 0: the mapping reverses the spectrum).
     sigmas : branch choices, one per applied recursion step.
-    m_steps : number of applied steps (== len(sigmas)).
     idempotency_log : per-step |Tr[X_n^2 - X_n]| of the iterate each step
         consumed, n = 1 .. m_steps.
     bounds : spectral bounds the transform was built from.
     n_occ : occupation the branch choices targeted.
+    m_steps : number of applied steps, len(sigmas).
+    alpha, beta_spec : scalars of the initial affine spectral transform
+        (beta_spec < 0: the mapping reverses the spectrum).
     """
 
-    alpha: float
-    beta_spec: float
     sigmas: tuple[int, ...]
-    m_steps: int
     idempotency_log: tuple[float, ...]
     bounds: SpectralBounds
     n_occ: int
 
+    @property
+    def m_steps(self) -> int:
+        return len(self.sigmas)
+
+    @property
+    def alpha(self) -> float:
+        return _init_scalars(self.bounds)[0]
+
+    @property
+    def beta_spec(self) -> float:
+        return _init_scalars(self.bounds)[1]
+
 
 def _init_scalars(bounds: SpectralBounds) -> tuple[float, float]:
+    """(alpha, beta) mapping [eps_min, eps_max] onto [1, 0]; bounds of no
+    width or of a width beyond the float64 range raise ValueError."""
     width = bounds.width
-    if not width > 0.0:
+    if not 0.0 < width < math.inf:
         raise ValueError(
-            f"spectral bounds [{bounds.eps_min}, {bounds.eps_max}] have no width; "
+            f"spectral bounds [{bounds.eps_min}, {bounds.eps_max}] have width {width}; "
             "the spectrum cannot be mapped onto [0, 1]"
         )
     return bounds.eps_max / width, -1.0 / width
 
 
 # Wording of the non-convergence error; low-precision kernels override it.
-_GAP_HINT = (
-    "this usually signals a vanishing gap at the requested occupation or bad spectral bounds"
-)
+_GAP_HINT = "this usually signals a vanishing gap at the requested occupation"
 
 
 class _DenseOps:
@@ -161,16 +170,21 @@ class _DenseOps:
     def idempotency_residual(self, x, x2) -> float:
         return float(np.linalg.norm(x2 - x))
 
-    def gate(self, x, trace: Sp2Trace) -> None:
-        """Reject a converged run whose iterate misses the occupation or is
-        not idempotent."""
+    def check_occupation(self, x, trace: Sp2Trace, hint: str) -> None:
+        """Reject an iterate whose trace misses the occupation: O(N), no
+        product."""
         tr_err = abs(self.trace(x) - trace.n_occ)
         if tr_err > self.trace_tol:
             raise ConvergenceError(
                 f"SP2 occupation error |Tr[D] - N_occ| = {tr_err:.3e} exceeds "
-                f"{self.trace_tol:.3e}{self.tol_hint}",
+                f"{self.trace_tol:.3e}{hint}",
                 trace.idempotency_log,
             )
+
+    def gate(self, x, trace: Sp2Trace) -> None:
+        """Reject a converged run whose iterate misses the occupation or is
+        not idempotent."""
+        self.check_occupation(x, trace, self.tol_hint)
         idem = self.idempotency_residual(x, self.square(x))
         if idem > self.idempotency_tol:
             raise ConvergenceError(
@@ -267,21 +281,25 @@ def _joined(y):
     return y.result() if isinstance(y, Future) else y
 
 
-def _expand(h0, n_occ, bounds=None, y_seed=None, replay_sigmas=None, backward=None, ops=None):
+def _expand(h0, n_occ, y_seed=None, replay=None, backward=None, ops=None):
     """Run the SP2 recursion, optionally differentiated in one direction.
 
     `ops` is the arithmetic kernel; it defaults to the dense or sparse one
     matching h0 (the low-precision kernels live in `mixedprec`). The kernel
-    checks h0, `y_seed` and `backward`, and gates every fresh run, never a
-    replay (see `_DenseOps.gate`).
+    checks h0, `y_seed` and `backward`, and gates every fresh run (see
+    `_DenseOps.gate`).
 
     Returns (x_final, y_final, trace). With `y_seed` the derivative iterate
     evolves forward next to the ground-state iterate. With `backward` (an
     observable A) every iterate is stored, and after the gate A is swept
     back through them: y_final is then the susceptibility of A. With
-    neither, y_final is None. With `replay_sigmas` the branch sequence is
-    consumed verbatim instead of re-derived, which reproduces the
-    originating run bit for bit.
+    neither, y_final is None.
+
+    With `replay` (an earlier run's Sp2Trace) its bounds and branch
+    sequence are consumed verbatim instead of re-derived, which reproduces
+    that run bit for bit. The record must target `n_occ` (ValueError), and
+    the replayed iterate must pass the kernel's O(N) occupation test
+    (ConvergenceError), which a record of another h0 fails.
 
     A fresh run that reaches idempotency appends a two-step trace-neutral
     tail (branches +1 then -1) to its branch plan and finishes it as a
@@ -299,8 +317,9 @@ def _expand(h0, n_occ, bounds=None, y_seed=None, replay_sigmas=None, backward=No
     n = ops.n
     if not 1 <= n_occ <= n - 1:
         raise ValueError(f"n_occ must lie in [1, {n - 1}], got {n_occ}")
-    if bounds is None:
-        bounds = ops.bounds(h0)
+    if replay is not None and replay.n_occ != n_occ:
+        raise ValueError(f"the replayed record targets n_occ = {replay.n_occ}, got {n_occ}")
+    bounds = ops.bounds(h0) if replay is None else replay.bounds
     alpha, beta = _init_scalars(bounds)
 
     x = ops.seed(alpha, beta, h0)
@@ -309,7 +328,7 @@ def _expand(h0, n_occ, bounds=None, y_seed=None, replay_sigmas=None, backward=No
     stall_ceiling = ops.stall_tol * math.sqrt(n)
     target = float(n_occ)
 
-    plan = replay_sigmas
+    plan = None if replay is None else replay.sigmas
     sigmas: list[int] = []
     log: list[float] = []
     stored: list = []
@@ -358,17 +377,11 @@ def _expand(h0, n_occ, bounds=None, y_seed=None, replay_sigmas=None, backward=No
             # waits for an update still in flight, so no thread outlives the run
             lane.shutdown()
 
-    trace = Sp2Trace(
-        alpha=alpha,
-        beta_spec=beta,
-        sigmas=tuple(sigmas),
-        m_steps=len(sigmas),
-        idempotency_log=tuple(log),
-        bounds=bounds,
-        n_occ=n_occ,
-    )
-    if replay_sigmas is None:
+    trace = Sp2Trace(sigmas=tuple(sigmas), idempotency_log=tuple(log), bounds=bounds, n_occ=n_occ)
+    if replay is None:
         ops.gate(x, trace)
+    else:
+        ops.check_occupation(x, trace, "; the replayed record does not belong to this h0")
     if backward is not None:
         # the derivative-scale factor goes on the result, not the seed
         y = backward
@@ -378,22 +391,21 @@ def _expand(h0, n_occ, bounds=None, y_seed=None, replay_sigmas=None, backward=No
     return x, y, trace
 
 
-def sp2_ground_state(h0, n_occ: int, bounds: SpectralBounds | None = None):
+def sp2_ground_state(h0, n_occ: int):
     """Zero-temperature density matrix of a gapped symmetric Hamiltonian.
 
     Parameters
     ----------
-    h0 : dense symmetric ndarray or SparseMatrix.
+    h0 : dense symmetric ndarray or SparseMatrix; its spectrum is bounded by
+        Gershgorin discs.
     n_occ : number of occupied states, 1 <= n_occ <= N-1. The spectrum must
         have a nonzero gap after the n_occ-th eigenvalue (detected only via
         non-convergence).
-    bounds : optional spectral bounds; tighter bounds converge faster.
-        Defaults to Gershgorin discs.
 
     Returns
     -------
     (d0, trace) : density matrix of the same kind as h0, and the Sp2Trace
     needed to replay the expansion for derivative calculations.
     """
-    x, _, trace = _expand(h0, n_occ, bounds)
+    x, _, trace = _expand(h0, n_occ)
     return x, trace

@@ -102,16 +102,11 @@ def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float):
     return symmetrize(d), eig, mu0
 
 
-def loewner_matrix(
-    values: np.ndarray,
-    f: Callable,
-    fprime: Callable,
-    degeneracy_delta: float = DEGENERACY_DELTA,
-) -> np.ndarray:
+def loewner_matrix(values: np.ndarray, f: Callable, fprime: Callable) -> np.ndarray:
     """Divided-difference matrix of f over an eigenvalue list.
 
     L_ij = (f(li) - f(lj)) / (li - lj) wherever the spacing exceeds
-    degeneracy_delta * max(1, |li|, |lj|); nearly degenerate pairs (and the
+    DEGENERACY_DELTA * max(1, |li|, |lj|); nearly degenerate pairs (and the
     diagonal) use f' at the midpoint. f and fprime must accept arrays.
     """
     lam = np.asarray(values, dtype=np.float64)
@@ -119,7 +114,7 @@ def loewner_matrix(
     lj = lam[None, :]
     diff = li - lj
     scale = np.maximum(1.0, np.maximum(np.abs(li), np.abs(lj)))
-    near = np.abs(diff) <= degeneracy_delta * scale
+    near = np.abs(diff) <= DEGENERACY_DELTA * scale
     fv = np.asarray(f(lam), dtype=np.float64)
     num = fv[:, None] - fv[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):

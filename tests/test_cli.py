@@ -546,6 +546,15 @@ class TestErrorPaths:
         assert rep["error"] is not None
         assert rep["error"]["type"] in ("ConvergenceError", "ValueError")
 
+    def test_overflowing_spectral_bounds_exit_1(self, tmp_path):
+        # finite entries, but a spectral width beyond the float64 range
+        path = tmp_path / "h.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n1e308\n1e308\n1\n")
+        code, rep = run_cli(["respond", "--h0", str(path), "--mode", "both"], tmp_path)
+        assert code == 1
+        assert rep["error"]["type"] == "ValueError"
+        assert rep["error"]["message"].startswith("spectral bounds [-1e+308, 1e+308] have width inf")
+
 
 def audit_files(tmp_path, h0, a, h1, n_occ, *extra):
     """audit on --h0/--obs/--h1 array files."""

@@ -25,6 +25,13 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             symmetric_matrix(x)
 
+    def test_entries_near_the_float64_limit_stay_finite(self):
+        x = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
+        assert np.array_equal(symmetric_matrix(x), x)
+        # the asymmetry test itself must not overflow into a pass
+        with pytest.raises(ValueError, match="not symmetric"):
+            symmetric_matrix(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):
             symmetric_matrix(np.zeros((2, 3)))

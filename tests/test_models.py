@@ -62,7 +62,7 @@ def test_generate_model_dispatch():
         dict(kind="chain", n=4, gap=float("inf")),
         dict(kind="overlap_chain", n=4, overlap=0.7),
         dict(kind="gapped_random", n=4, n_below=4),
-        dict(kind="gapped_random", n=4, gap=3.0, bandwidth=1.0),
+        dict(kind="gapped_random", n=4, gap=4.0),
     ],
 )
 def test_invalid_specs_rejected(kwargs):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import (
     inverse_sqrt_factor,
     sym_eigendecompose,
@@ -68,6 +69,23 @@ class TestDmPerturbationForward:
         d0, _, tr2 = dm_perturbation_forward(h0, np.eye(n), n_occ, trace=tr)
         assert tr2.sigmas == tr.sigmas
         assert np.array_equal(d0, d_ref)
+
+    def test_replay_rejects_a_record_of_another_problem(self, rng):
+        a = gapped_random_hamiltonian(60, 1.0, 30, seed=1)
+        h1 = random_symmetric(rng, 60)
+        _, _, tr = dm_perturbation_forward(a, h1, 30)
+        # the record targets another occupation
+        with pytest.raises(ValueError, match="replayed record targets n_occ = 30, got 20"):
+            dm_perturbation_forward(a, h1, 20, trace=tr)
+        # another spectrum of the same dimension, and another dimension: the
+        # replayed branches land on Tr D0 = 20 and 40
+        other = gapped_random_hamiltonian(60, 1.0, 20, seed=3)
+        larger = gapped_random_hamiltonian(80, 1.0, 40, seed=4)
+        for h0 in (other, larger):
+            seed = random_symmetric(rng, h0.shape[0])
+            with pytest.raises(ConvergenceError, match="does not belong to this h0") as exc:
+                dm_perturbation_forward(h0, seed, 30, trace=tr)
+            assert len(exc.value.history) == tr.m_steps
 
 
 class TestSusceptibilityForward:

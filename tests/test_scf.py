@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -297,7 +299,7 @@ class TestKrylovAndAnderson:
         h, _, h1 = gapped_case(rng, n, 95)
         state = scf_ground_state(h, None, hubbard(1.0), n // 2)
         with pytest.raises(ConvergenceError) as exc:
-            scf_response(state, h1, ScfConfig(max_iters=2))
+            scf_response(replace(state, cfg=replace(state.cfg, max_iters=2)), h1)
         # L(seed), then its fresh image: one residual, far from converged
         assert len(exc.value.history) == 1
         assert exc.value.history[0] > ScfConfig().eps_scf

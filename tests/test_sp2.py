@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dmresponse import mixedprec, sp2
 from dmresponse.exceptions import ConvergenceError
-from dmresponse.linalg import SpectralBounds, sym_eigendecompose, trace_product
+from dmresponse.linalg import sym_eigendecompose, trace_product
 from dmresponse.mixedprec import mixed_response_pipeline, single_precision_pipeline
 from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
 from dmresponse.response import (
@@ -17,7 +17,7 @@ from dmresponse.response import (
     susceptibility_forward,
 )
 from dmresponse.sp2 import sp2_ground_state
-from dmresponse.sparse import SparseMatrix, sparsify
+from dmresponse.sparse import SparseMatrix, sparsify, threshold
 
 from conftest import random_symmetric
 
@@ -90,16 +90,6 @@ class TestGroundState:
         assert tr_a.sigmas == tr_b.sigmas
         assert np.array_equal(d_a, d_b)
 
-    def test_tighter_bounds_converge_no_slower(self):
-        n, n_occ = 30, 15
-        h0 = gapped_random_hamiltonian(n, 1.0, n_occ, seed=4)
-        eig = sym_eigendecompose(h0)
-        tight = SpectralBounds(float(eig.values[0]) - 1e-9, float(eig.values[-1]) + 1e-9)
-        _, tr_default = sp2_ground_state(h0, n_occ)
-        d_tight, tr_tight = sp2_ground_state(h0, n_occ, bounds=tight)
-        assert tr_tight.m_steps <= tr_default.m_steps
-        assert abs(np.trace(d_tight) - n_occ) <= 1e-8
-
     def test_rejects_bad_occupation(self):
         h0 = np.diag([0.0, 1.0])
         with pytest.raises(ValueError, match="n_occ"):
@@ -114,6 +104,24 @@ class TestGroundState:
             sp2_ground_state(h0, 6)
         if isinstance(exc.value, ConvergenceError):
             assert len(exc.value.history) > 0
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_bounds_rejected_before_any_product(self, monkeypatch, storage, n):
+        # finite entries whose Gershgorin width (n = 2) or disc radius (n = 3)
+        # overflows float64
+        h0 = np.full((n, n), 1e308)
+        np.fill_diagonal(h0, 1.0)
+        if storage == "sparse":
+            h0 = threshold(h0, 0.0)
+
+        def square(self, x):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(sp2._DenseOps, "square", square)
+        monkeypatch.setattr(sp2._SparseOps, "square", square)
+        with pytest.raises(ValueError, match=r"^spectral bounds \[.*\] have width (inf|nan)"):
+            sp2_ground_state(h0, 1)
 
     @given(st.data(), st.integers(min_value=2, max_value=40), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
@@ -242,14 +250,13 @@ class TestDerivativeLane:
     def _check_overlapped_equals_inline(model):
         hs, h1 = _sparse_problem(model)
         n_occ = hs.dim // 2
-        x, y, trace = sp2._expand(hs, n_occ, None, y_seed=h1)
-        xi, yi, trace_i = sp2._expand(hs, n_occ, None, y_seed=h1, ops=_InlineSparseOps(hs))
+        x, y, trace = sp2._expand(hs, n_occ, y_seed=h1)
+        xi, yi, trace_i = sp2._expand(hs, n_occ, y_seed=h1, ops=_InlineSparseOps(hs))
         assert trace == trace_i
         assert _same_bits(x, xi) and _same_bits(y, yi)
-        replay = dict(y_seed=h1, replay_sigmas=trace.sigmas)
-        xr, yr, trace_r = sp2._expand(hs, n_occ, trace.bounds, **replay)
+        xr, yr, trace_r = sp2._expand(hs, n_occ, y_seed=h1, replay=trace)
         xri, yri, trace_ri = sp2._expand(
-            hs, n_occ, trace.bounds, ops=_InlineSparseOps(hs), **replay
+            hs, n_occ, y_seed=h1, replay=trace, ops=_InlineSparseOps(hs)
         )
         assert trace_r == trace_ri
         assert _same_bits(xr, xri) and _same_bits(yr, yri)
@@ -294,7 +301,7 @@ class TestDerivativeLane:
 
         before = threading.active_count()
         with pytest.raises(RuntimeError) as exc:
-            sp2._expand(hs, hs.dim // 2, None, y_seed=h1, ops=FailingOps(hs))
+            sp2._expand(hs, hs.dim // 2, y_seed=h1, ops=FailingOps(hs))
         assert exc.value is boom
         assert threading.active_count() == before
 
@@ -358,20 +365,18 @@ class TestEngineBoundary:
             other_kind = sparsify(m, 0.0)
             smaller = m[:-1, :-1]
         with pytest.raises(ValueError, match=f"^{name} must be the same storage kind as h0"):
-            sp2._expand(h, n // 2, None, ops=ops(h), **{role: other_kind})
+            sp2._expand(h, n // 2, ops=ops(h), **{role: other_kind})
         with pytest.raises(ValueError, match=f"dimension mismatch: h0 is {n}, {name} has shape"):
-            sp2._expand(h, n // 2, None, ops=ops(h), **{role: smaller})
+            sp2._expand(h, n // 2, ops=ops(h), **{role: smaller})
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_replay_reproduces_fresh_run(self, kernel):
         h, seed, ops, n = _kernel_problem(kernel)
         n_occ = n // 2
         fresh_ops, replay_ops = ops(h), ops(h)
-        x, y, trace = sp2._expand(h, n_occ, None, y_seed=seed, ops=fresh_ops)
-        xr, yr, trace_r = sp2._expand(
-            h, n_occ, trace.bounds, y_seed=seed, replay_sigmas=trace.sigmas, ops=replay_ops
-        )
-        # sigmas, idempotency log, bounds and transform scalars
+        x, y, trace = sp2._expand(h, n_occ, y_seed=seed, ops=fresh_ops)
+        xr, yr, trace_r = sp2._expand(h, n_occ, y_seed=seed, replay=trace, ops=replay_ops)
+        # sigmas, idempotency log, bounds and occupation
         assert trace_r == trace
         assert _bits(xr) == _bits(x) and _bits(yr) == _bits(y)
         if kernel in ("f32", "split16"):
