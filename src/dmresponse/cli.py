@@ -403,13 +403,9 @@ def _solve_sp2(cfg, h0, s, a, h1, n_occ) -> dict:
     out = {"tau": cfg.tau} if is_sparse else {}
     if h1 is None:
         d0, trace = sp2.sp2_ground_state(h0, n_occ)
-        if is_sparse:
-            out["trace_d0"] = d0.trace()
-        else:
-            out.update(
-                trace_d0=float(np.trace(d0)),
-                idempotency_fro=float(np.linalg.norm(d0 @ d0 - d0)),
-            )
+        out["trace_d0"] = float(d0.trace())
+        if not is_sparse:
+            out["idempotency_fro"] = float(np.linalg.norm(d0 @ d0 - d0))
     else:
         values = {}
         trace = None

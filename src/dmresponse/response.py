@@ -102,10 +102,8 @@ def observable_position_derivative(
     d: np.ndarray,
     s_inv: np.ndarray,
     s_tau: np.ndarray,
-    *,
-    cross_term: float | None = None,
-    chi_perp: np.ndarray | None = None,
-    h_tau_perp: np.ndarray | None = None,
+    chi_perp: np.ndarray,
+    h_tau_perp: np.ndarray,
 ) -> float:
     """Position derivative of <A> in a non-orthogonal representation.
 
@@ -113,25 +111,13 @@ def observable_position_derivative(
     the density response term Tr[A_perp D_perp_tau], and two overlap (Pulay
     style) terms -(1/2) Tr[A S^-1 S_tau D] - (1/2) Tr[A D S_tau S^-1].
 
-    The density response term is supplied either directly via `cross_term`
-    or as the pair (chi_perp, h_tau_perp), contracted as
-    Tr[chi_perp h_tau_perp]; the susceptibility form lets one converged
-    chi_perp serve every atomic displacement.
+    The density response term is contracted as Tr[chi_perp h_tau_perp],
+    so one converged chi_perp serves every atomic displacement.
     """
-    if (cross_term is None) == (chi_perp is None and h_tau_perp is None):
-        if cross_term is None:
-            raise ValueError("supply either cross_term or the pair (chi_perp, h_tau_perp)")
-        raise ValueError("cross_term and (chi_perp, h_tau_perp) are mutually exclusive")
-    if cross_term is None:
-        if chi_perp is None or h_tau_perp is None:
-            raise ValueError("both chi_perp and h_tau_perp are required")
-        cross = trace_product(chi_perp, h_tau_perp)
-    else:
-        cross = float(cross_term)
     shapes = {a.shape, a_tau.shape, d.shape, s_inv.shape, s_tau.shape}
     if len(shapes) != 1:
         raise ValueError("dimension mismatch among A, A_tau, D, S_inv, S_tau")
     pulay = -0.5 * trace_product(a @ s_inv @ s_tau, d) - 0.5 * trace_product(
         a @ d @ s_tau, s_inv
     )
-    return trace_product(a_tau, d) + cross + pulay
+    return trace_product(a_tau, d) + trace_product(chi_perp, h_tau_perp) + pulay

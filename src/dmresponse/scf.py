@@ -16,6 +16,7 @@ position.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -119,8 +120,10 @@ class ScfConfig:
             raise ValueError("eps_scf must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.beta_t is not None and self.beta_t <= 0.0:
-            raise ValueError("inverse temperature beta_t must be positive")
+        if self.beta_t is not None and not 0.0 < self.beta_t < math.inf:
+            raise ValueError(
+                f"inverse temperature beta_t must be finite and positive, got {self.beta_t}"
+            )
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .exceptions import ConvergenceError
 from .linalg import SpectralBounds, gershgorin_bounds
-from .sparse import SparseMatrix, _canonical, check_symmetric, sp_gershgorin, threshold
+from .sparse import SparseMatrix, _canonical, check_symmetric, threshold
 
 MAX_ITERATIONS = 120
 
@@ -155,7 +155,7 @@ class _DenseOps:
         return x @ x
 
     def trace(self, x) -> float:
-        return float(np.trace(x))
+        return float(x.trace())
 
     def combine(self, sigma: int, x, x2):
         # (1 - sigma) X + sigma X^2
@@ -199,8 +199,9 @@ class _SparseOps(_DenseOps):
 
     All of them are exactly symmetric for symmetric inputs (see the
     `sparse` module), so a plain elementwise drop keeps the iterates
-    symmetric without any re-symmetrization. Of the dense kernel it keeps
-    only the gate, held to the tau-limited accuracy of a sparse run.
+    symmetric without any re-symmetrization. It shares the dense kernel's
+    Gershgorin bound and trace, and keeps its gate, held to the
+    tau-limited accuracy of a sparse run.
     """
 
     # Run pair_update on a worker thread next to the square (see `_expand`).
@@ -233,7 +234,8 @@ class _SparseOps(_DenseOps):
             raise ValueError(f"dimension mismatch: h0 is {self.n}, {name} has shape {m.csr.shape}")
         check_symmetric(m, name)
 
-    bounds = staticmethod(sp_gershgorin)
+    def bounds(self, h0: SparseMatrix):
+        return gershgorin_bounds(h0.csr)
 
     def seed(self, alpha: float, beta: float, h0: SparseMatrix) -> SparseMatrix:
         import scipy.sparse as sp
@@ -245,9 +247,6 @@ class _SparseOps(_DenseOps):
 
     def square(self, x: SparseMatrix) -> SparseMatrix:
         return threshold(x.csr @ x.csr, self.tau)
-
-    def trace(self, x: SparseMatrix) -> float:
-        return x.trace()
 
     def combine(self, sigma: int, x: SparseMatrix, x2: SparseMatrix) -> SparseMatrix:
         if sigma == 1:

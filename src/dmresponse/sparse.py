@@ -6,11 +6,11 @@ sums each entry in a fixed order, and with sorted column indices entries
 (i, j) and (j, i) of X@X, 2X - X^2 and P + P^T are the same sums in the same
 order. So `threshold` applies a plain elementwise drop (|x_ij| < tau) after
 each multiply-add, and that drop keeps the pattern symmetric. The SP2 entry
-point checks once that its sparse inputs are exactly symmetric.
-
-`sparsify` takes arbitrary dense input and keeps the symmetric pairwise
-rule: (i, j) and (j, i) are dropped together, only when both magnitudes
-fall below tau, and survivors store the symmetrized value.
+point checks once that its sparse inputs are exactly symmetric, and
+`SparseMatrix` accepts only a finite, non-negative tau. `threshold` is the
+one drop rule: `sparsify` applies it to dense input, which must be exactly
+symmetric. Spectral bounds come from `linalg.gershgorin_bounds`, which takes
+the CSR array directly.
 
 The arithmetic kernel is scipy's CSR matrix product, which is deterministic
 (fixed row order, fixed reduction order) so repeated runs are bit-identical.
@@ -22,6 +22,7 @@ temporaries of nnz entries and returns arrays sized to the kept entries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,16 @@ class SparseMatrix:
     """Symmetric sparse matrix with drop tolerance tau.
 
     `csr` is canonical scipy CSR (sorted, deduplicated column indices per
-    row). Treated as immutable; operations return new instances.
+    row). Treated as immutable; operations return new instances. A tau that
+    is negative, infinite or NaN raises ValueError.
     """
 
     csr: sp.csr_matrix
     tau: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"drop tolerance tau must be finite and non-negative, got {self.tau}")
 
     @property
     def dim(self) -> int:
@@ -67,13 +73,10 @@ def _canonical(m) -> sp.csr_matrix:
 def threshold(raw, tau: float) -> SparseMatrix:
     """Canonicalize an exactly symmetric raw result and drop |x_ij| < tau.
 
-    On a symmetric matrix this equals the pairwise rule of `sparsify`.
     Explicit zeros are removed; NaN entries are kept. The arrays of a CSR
     `raw` may be reused and modified in place, so pass a fresh result or a
     copy. The result's arrays hold exactly its nnz entries.
     """
-    if tau < 0:
-        raise ValueError("drop tolerance tau must be non-negative")
     m = _canonical(raw)
     if tau > 0.0:
         d = m.data
@@ -96,20 +99,18 @@ def check_symmetric(m: SparseMatrix, name: str) -> None:
 
 
 def sparsify(x: np.ndarray, tau: float) -> SparseMatrix:
-    """Threshold a dense symmetric matrix into sparse storage."""
-    if tau < 0:
-        raise ValueError("drop tolerance tau must be non-negative")
+    """Threshold an exactly symmetric dense matrix into sparse storage
+    (ValueError otherwise)."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    keep = np.maximum(np.abs(x), np.abs(x.T)) >= tau
-    vals = np.where(keep, 0.5 * (x + x.T), 0.0)
-    return SparseMatrix(_canonical(vals), tau)
+    m = threshold(x, tau)
+    check_symmetric(m, "input")
+    return m
 
 
 def from_diagonals(diagonals, offsets, tau: float) -> SparseMatrix:
     """Threshold a symmetric banded matrix, given by its diagonals (those at
-    offsets k and -k equal), into sparse storage without forming it densely.
-    Equals `sparsify` of the dense matrix."""
+    offsets k and -k equal), into sparse storage without forming it densely."""
     return threshold(sp.diags(diagonals, offsets, format="csr"), tau)
 
 
@@ -118,12 +119,3 @@ def sp_trace_product(a: SparseMatrix, b: SparseMatrix) -> float:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return float(a.csr.multiply(b.csr).sum())
-
-
-def sp_gershgorin(x: SparseMatrix):
-    """Gershgorin disc bounds on sparse storage."""
-    from .linalg import SpectralBounds
-
-    d = x.csr.diagonal()
-    r = np.asarray(abs(x.csr).sum(axis=1)).ravel() - np.abs(d)
-    return SpectralBounds(float(np.min(d - r)), float(np.max(d + r)))

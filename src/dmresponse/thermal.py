@@ -13,6 +13,7 @@ expansions.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -90,8 +91,8 @@ def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float):
     Returns (d, eig, mu0); the eigenbasis and mu0 are what every response
     about this D is differentiated from.
     """
-    if beta_t <= 0:
-        raise ValueError("inverse temperature beta_t must be positive")
+    if not 0.0 < beta_t < math.inf:
+        raise ValueError(f"inverse temperature beta_t must be finite and positive, got {beta_t}")
     n = h.shape[0]
     if not 0.0 < n_occ < n:
         raise ValueError(f"n_occ must lie in (0, {n}), got {n_occ}")

@@ -142,7 +142,7 @@ class TestRespond:
     @pytest.mark.parametrize("subcommand", ["ground-state", "respond"])
     def test_tau_coordinate_file_matches_array_file(self, tmp_path, subcommand):
         # a coordinate h0 is re-thresholded in sparse storage; the same matrix
-        # from a dense array file goes through sparsify's pairwise rule
+        # from a dense array file goes through sparsify, the same drop rule
         n = 60
         h = chain_hamiltonian(n, 1.0)
         idx = np.arange(n - 3)

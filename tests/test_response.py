@@ -197,30 +197,25 @@ class TestObservablePositionDerivative:
         n = 5
         a = random_symmetric(rng, n)
         d = random_symmetric(rng, n)
-        cross = 0.123
+        chi_perp = np.zeros((n, n))
+        chi_perp[0, 1] = chi_perp[1, 0] = 1.0
+        chi_perp[2, 2] = 2.0
+        h_tau_perp = np.zeros((n, n))
+        h_tau_perp[0, 1] = h_tau_perp[1, 0] = 0.25
+        h_tau_perp[2, 2] = -0.125
+        # Tr[chi h] = 2 * (1.0 * 0.25) + 2.0 * (-0.125) = 0.25
         out = observable_position_derivative(
-            a, np.zeros((n, n)), d, np.eye(n), np.zeros((n, n)), cross_term=cross
+            a, np.zeros((n, n)), d, np.eye(n), np.zeros((n, n)), chi_perp, h_tau_perp
         )
-        assert np.isclose(out, cross)
+        assert np.isclose(out, 0.25)
 
     def test_all_derivatives_zero(self, rng):
         n = 4
         a = random_symmetric(rng, n)
         d = random_symmetric(rng, n)
-        out = observable_position_derivative(
-            a, np.zeros((n, n)), d, np.eye(n), np.zeros((n, n)), cross_term=0.0
-        )
+        zero = np.zeros((n, n))
+        out = observable_position_derivative(a, zero, d, np.eye(n), zero, zero, zero)
         assert out == 0.0
-
-    def test_rejects_ambiguous_cross_term(self, rng):
-        n = 3
-        a = random_symmetric(rng, n)
-        with pytest.raises(ValueError):
-            observable_position_derivative(
-                a, a, a, np.eye(n), a, cross_term=1.0, chi_perp=a, h_tau_perp=a
-            )
-        with pytest.raises(ValueError, match="supply either"):
-            observable_position_derivative(a, a, a, np.eye(n), a)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_matches_end_to_end_finite_difference(self, k):

@@ -223,8 +223,9 @@ def test_scf_config_validation():
         ScfConfig(c_mix=0.0)
     with pytest.raises(ValueError):
         ScfConfig(eps_scf=-1.0)
-    with pytest.raises(ValueError):
-        ScfConfig(beta_t=0.0)
+    for beta_t in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ScfConfig(beta_t=beta_t)
     with pytest.raises(ValueError):
         ScfConfig(max_iters=0)
 

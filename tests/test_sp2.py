@@ -166,6 +166,13 @@ class TestSparseGroundState:
         with pytest.raises(ConvergenceError, match="occupation error"):
             sp2_ground_state(sparsify(chain_hamiltonian(400, 0.5), 5e-2), 200)
 
+    def test_infinite_tau_rejected_at_construction(self):
+        # tau = inf would make the gate's tolerances infinite and let an
+        # empty D0 through
+        h = sparsify(chain_hamiltonian(8, 1.0), 0.0)
+        with pytest.raises(ValueError, match="drop tolerance tau"):
+            sp2_ground_state(SparseMatrix(h.csr, np.inf), 4)
+
     @pytest.mark.parametrize("model", ["chain", "banded"])
     def test_iterates_exactly_symmetric(self, monkeypatch, model):
         # the plain drop rule relies on every product being bitwise symmetric

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from dmresponse.linalg import gershgorin_bounds
 from dmresponse.models import chain_diagonals, chain_hamiltonian
 from dmresponse.sparse import (
     SparseMatrix,
     check_symmetric,
     from_diagonals,
-    sp_gershgorin,
     sparsify,
     threshold,
 )
@@ -57,6 +57,17 @@ class TestSparsify:
         with pytest.raises(ValueError):
             sparsify(np.eye(2), -1.0)
 
+    def test_entries_near_the_float64_limit_stay_finite(self):
+        x = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
+        sm = sparsify(x, 1e-6)
+        assert np.all(np.isfinite(sm.csr.data))
+        assert np.array_equal(sm.to_dense(), x)
+
+    def test_rejects_asymmetric_input(self):
+        x = np.array([[1.0, 0.5], [0.25, 1.0]])
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            sparsify(x, 1e-6)
+
     def test_storage_invariants(self, rng):
         sm = sparsify(banded_symmetric(rng, 40), 1e-3)
         # no stored entry below tau
@@ -105,11 +116,8 @@ class TestThreshold:
 
     def test_matches_pairwise_rule_on_symmetric_input(self, rng):
         x = banded_symmetric(rng, 40)
-        out = threshold(sparsify(x, 0.0).csr, 0.3)
-        ref = sparsify(x, 0.3)
-        assert np.array_equal(out.csr.indptr, ref.csr.indptr)
-        assert np.array_equal(out.csr.indices, ref.csr.indices)
-        assert np.array_equal(out.csr.data, ref.csr.data)
+        ref = np.where(np.abs(x) >= 0.3, x, 0.0)
+        assert np.array_equal(sparsify(x, 0.3).to_dense(), ref)
 
     def test_removes_explicit_zeros(self):
         import scipy.sparse as sp
@@ -133,13 +141,27 @@ def test_check_symmetric(rng):
 
 
 def test_sp_gershgorin_matches_dense(rng):
-    from dmresponse.linalg import gershgorin_bounds
-
     x = banded_symmetric(rng, 60)
     sm = sparsify(x, 0.0)
     bd = gershgorin_bounds(x)
-    bs = sp_gershgorin(sm)
+    bs = gershgorin_bounds(sm.csr)
+    # the CSR row sums skip the zeros, so their rounding may differ by an ulp
     assert np.isclose(bs.eps_min, bd.eps_min) and np.isclose(bs.eps_max, bd.eps_max)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tau: SparseMatrix(sparsify(np.eye(2), 0.0).csr, tau),
+        lambda tau: threshold(sparsify(np.eye(2), 0.0).csr, tau),
+        lambda tau: sparsify(np.eye(2), tau),
+    ],
+    ids=["SparseMatrix", "threshold", "sparsify"],
+)
+def test_tau_must_be_finite_and_non_negative(build):
+    for tau in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="drop tolerance tau"):
+            build(tau)
 
 
 def test_sparse_matrix_helpers(rng):

@@ -52,6 +52,12 @@ class TestFermiMatrix:
             fermi_matrix_and_mu(np.eye(3), -1.0, 1.0)
         with pytest.raises(ValueError):
             fermi_matrix_and_mu(np.eye(3), 1.0, 3.5)
+        h = gapped_random_hamiltonian(8, 1.0, 4, seed=1)
+        for beta_t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="beta_t must be finite and positive"):
+                fermi_matrix_and_mu(h, beta_t, 4.0)
+            with pytest.raises(ValueError, match="beta_t must be finite and positive"):
+                canonical_susceptibility(h, np.eye(8), beta_t, 4.0)
 
 
 class TestLoewnerMatrix:
