@@ -10,11 +10,11 @@ general symmetrized product costs 3: 5 per expansion step.
 
 Values are stored widened (float32 arrays constrained to the binary16 grid);
 nothing here dispatches to real low-precision hardware. `_round16` is the
-one rounding onto the grid: exact integer arithmetic on the float64 bit
-pattern, bit-identical to numpy's float16 cast but without its slow path
-for the binary16 subnormals that fill every low part. `_round_array16`
-checks input not yet known to lie in the binary16 range before rounding
-it. A split is the plain pair (high, low) that `split` returns.
+one rounding onto the grid: branch-free, in the input's own precision, and
+equal bit for bit to numpy's float16 cast without its slow path for the
+binary16 subnormals that fill every low part. `_round_array16` checks input
+not yet known to lie in the binary16 range before rounding it. A split is
+the plain pair (high, low) that `split` returns.
 
 Both pipelines run the one SP2 engine, `sp2._expand`, with a kernel of
 their own: `_F32Ops` (plain float32 products) and `_Split16Ops` (split
@@ -35,44 +35,39 @@ import numpy as np
 from .sp2 import Sp2Trace, _DenseOps, _expand
 
 BINARY16_MAX = 65504.0
-BINARY16_MIN_NORMAL = 2.0**-14
 
-# binary16 keeps the top 10 of float64's 52 fraction bits; rounding adds
-# just under half of the dropped range, plus the lowest kept bit (ties to
-# even), then clears the 42 dropped bits.
-_DROPPED_BITS = np.uint64(42)
-_HALF_DROPPED_MINUS_ONE = np.uint64((1 << 41) - 1)
-_KEPT_BITS = np.uint64(((1 << 64) - 1) ^ ((1 << 42) - 1))
+# dtype: (bit-pattern view, exponent mask, sign mask, 1.5 * 2^(p - 10) for p fraction bits)
+_GRID = {
+    np.dtype(np.float32): (np.uint32, np.uint32(0xFF << 23), np.uint32(1 << 31), 1.5 * 2.0**13),
+    np.dtype(np.float64): (np.uint64, np.uint64(0x7FF << 52), np.uint64(1 << 63), 1.5 * 2.0**42),
+}
 
 
 def _round16(x: np.ndarray) -> np.ndarray:
-    """Round a float64 array to the nearest binary16 value (ties to even),
-    widened to float32.
+    """Round a float32 or float64 array to the nearest binary16 value (ties
+    to even), widened to float32: bit for bit `np.float16(x).astype(np.float32)`
+    wherever that is finite, |x| < 65520. Callers reject larger ones first.
 
-    Equal bit for bit to `np.float16(x).astype(np.float32)` wherever that is
-    finite, that is for |x| < 65520, but without numpy's slow path for
-    binary16 subnormals. Callers reject larger magnitudes first.
-
-    Normal range: integer rounding of the float64 bit pattern at bit 42; a
-    carry out of the fraction rolls into the exponent, as it should.
-    Subnormal range (|x| < 2^-14): the binary16 grid is uniform with step
-    2^-24, so rint on the scaled value rounds it (keeping the sign of zero).
+    With e the exponent of |x| clamped to at least -14 (binary16's
+    subnormals share the spacing of its smallest normal binade), the unit in
+    the last place of c = 1.5 * 2^(e + p - 10) is 2^(e - 10), the binary16
+    spacing at |x|. So (|x| + c) - c in x's own precision rounds |x| onto the
+    binary16 grid, ties to even as c is an even multiple of that spacing,
+    and the subtraction is exact. Then x's sign bit is ORed back in, so
+    -0.0 and negative values that round to zero keep it.
     """
-    bits = x.view(np.uint64)
-    out = bits >> _DROPPED_BITS
-    out &= np.uint64(1)
-    out += _HALF_DROPPED_MINUS_ONE
-    out += bits
-    out &= _KEPT_BITS
-    out = out.view(np.float64)
-    sub = np.abs(x)
-    tiny = sub < BINARY16_MIN_NORMAL
-    if tiny.any():
-        np.multiply(x, 2.0**24, out=sub)
-        np.rint(sub, out=sub)
-        sub *= 2.0**-24
-        np.copyto(out, sub, where=tiny)
-    return out.astype(np.float32)
+    uint, exponent, sign, shift = _GRID[x.dtype]
+    bits = x.view(uint)
+    c_bits = bits & exponent  # 2^e; 0 below the normal range
+    c = c_bits.view(x.dtype)
+    np.maximum(c, 2.0**-14, out=c)
+    c *= shift
+    out = np.abs(x)
+    out += c
+    out -= c
+    np.bitwise_and(bits, sign, out=c_bits)  # c's buffer takes the result
+    c_bits |= out.view(uint)
+    return c.astype(np.float32, copy=False)
 
 
 def _round_array16(x: np.ndarray) -> np.ndarray:
@@ -80,11 +75,11 @@ def _round_array16(x: np.ndarray) -> np.ndarray:
     ValueError, magnitudes beyond the largest binary16 normal
     OverflowError. The expansions keep their iterates inside [0, 1], so an
     overflow is a bug, never something to saturate away."""
-    if not np.all(np.isfinite(x)):
-        raise ValueError("cannot round non-finite values to binary16")
-    if np.any(np.abs(x) > BINARY16_MAX):
-        bad = float(np.max(np.abs(x)))
-        raise OverflowError(f"entry magnitude {bad!r} exceeds the binary16 range")
+    peak = np.max(np.abs(x), initial=0.0)
+    if not peak <= BINARY16_MAX:
+        if not np.isfinite(peak):  # NaN propagates through the max
+            raise ValueError("cannot round non-finite values to binary16")
+        raise OverflowError(f"entry magnitude {float(peak)!r} exceeds the binary16 range")
     return _round16(x)
 
 
@@ -99,10 +94,12 @@ class SplitMatrix(NamedTuple):
 def split(x: np.ndarray) -> SplitMatrix:
     """Split a matrix into its two-term binary16 representation. Once x has
     passed the range check, its remainder is finite and at most 16 in
-    magnitude, so only x itself is checked."""
-    x64 = np.asarray(x, dtype=np.float64)
-    high = _round_array16(x64)
-    return SplitMatrix(high, _round16(x64 - high))
+    magnitude, so only x itself is checked. A float32 x is split in float32,
+    where x - high is exact; any other dtype goes through float64."""
+    if x.dtype != np.float32:
+        x = x.astype(np.float64, copy=False)
+    high = _round_array16(x)
+    return SplitMatrix(high, _round16(x - high))
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ class _F32Ops(_DenseOps):
 
     def trace(self, x: np.ndarray) -> float:
         # branch decisions and stall tests run in float64
-        return float(np.trace(x.astype(np.float64)))
+        return float(x.diagonal().astype(np.float64).sum())
 
     def square(self, x: np.ndarray) -> np.ndarray:
         return self._gemm(x, x)

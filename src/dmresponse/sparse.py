@@ -8,9 +8,9 @@ order. So `threshold` applies a plain elementwise drop (|x_ij| < tau) after
 each multiply-add, and that drop keeps the pattern symmetric. The SP2 entry
 point checks once that its sparse inputs are exactly symmetric, and
 `SparseMatrix` accepts only a finite, non-negative tau. `threshold` is the
-one drop rule: `sparsify` applies it to dense input, which must be exactly
-symmetric. Spectral bounds come from `linalg.gershgorin_bounds`, which takes
-the CSR array directly.
+one drop rule: `sparsify` applies it to dense input, which must be finite
+and exactly symmetric. Spectral bounds come from `linalg.gershgorin_bounds`,
+which takes the CSR array directly.
 
 The arithmetic kernel is scipy's CSR matrix product, which is deterministic
 (fixed row order, fixed reduction order) so repeated runs are bit-identical.
@@ -99,10 +99,12 @@ def check_symmetric(m: SparseMatrix, name: str) -> None:
 
 
 def sparsify(x: np.ndarray, tau: float) -> SparseMatrix:
-    """Threshold an exactly symmetric dense matrix into sparse storage
-    (ValueError otherwise)."""
+    """Threshold a finite, exactly symmetric dense matrix into sparse
+    storage (ValueError otherwise)."""
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sparse input holds non-finite entries")
     m = threshold(x, tau)
     check_symmetric(m, "input")
     return m

@@ -126,6 +126,68 @@ class TestRoundKernel:
         assert np.array_equal(_round16(clipped).view(np.uint32), ref.view(np.uint32))
 
 
+def float32_binades(lo: float, hi: float, step: int) -> np.ndarray:
+    """Every step-th float32 bit pattern in [lo, hi), both signs."""
+    pos = np.arange(
+        np.float32(lo).view(np.uint32), np.float32(hi).view(np.uint32), step, dtype=np.uint32
+    )
+    return np.concatenate([pos, pos | np.uint32(1 << 31)]).view(np.float32)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    assert a.dtype == b.dtype == np.float32
+    return np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+class TestFloat32Split:
+    """float32 input is split in float32; the result must equal the float64
+    split of the same values bit for bit."""
+
+    def test_matches_float64_split(self):
+        xs = float32_sweep()
+        xs = xs[np.abs(xs) <= BINARY16_MAX]
+        xs = np.concatenate([xs, float32_binades(2.0**-15, 2.0**-13, 7)])
+        ours, ref = split(xs), split(xs.astype(np.float64))
+        assert same_bits(ours.high, ref.high) and same_bits(ours.low, ref.low)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.nan, ValueError),
+            (np.inf, ValueError),
+            (-np.inf, ValueError),
+            (65505.0, OverflowError),
+        ],
+    )
+    def test_range_check(self, bad, error):
+        x = np.zeros((3, 3), dtype=np.float32)
+        x[1, 2] = bad
+        with pytest.raises(error):
+            split(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sign_of_zero_results(self, dtype):
+        # -2^-26 rounds to -0 in both parts; -0.0 has high -0 and low
+        # -0 - (-0) = +0, as the float16 cast of that remainder gives
+        high, low = split(np.array([-(2.0**-26)], dtype))
+        zhigh, zlow = split(np.array([-0.0], dtype))
+        assert np.signbit(high[0]) and np.signbit(low[0]) and high[0] == low[0] == 0.0
+        assert np.signbit(zhigh[0]) and not np.signbit(zlow[0]) and zhigh[0] == zlow[0] == 0.0
+        assert np.signbit(_round16(np.array([-0.0], dtype))[0])
+
+    def test_empty_matrix(self):
+        high, low = split(np.zeros((0, 0), np.float32))
+        assert high.shape == low.shape == (0, 0)
+        assert high.dtype == low.dtype == np.float32
+
+
+@pytest.mark.parametrize("n", [33, 257, 1000])
+def test_f32_trace_sums_diagonal_in_float64(rng, n):
+    x = rng.standard_normal((n, n)).astype(np.float32)
+    ops = mixedprec._F32Ops(np.zeros((n, n)))
+    assert ops.trace(x).hex() == float(np.trace(x.astype(np.float64))).hex()
+
+
 def widened(sm) -> np.ndarray:
     """high + low in float64."""
     return sm.high.astype(np.float64) + sm.low.astype(np.float64)

@@ -68,6 +68,13 @@ class TestSparsify:
         with pytest.raises(ValueError, match="not exactly symmetric"):
             sparsify(x, 1e-6)
 
+    def test_rejects_non_finite_symmetric_input(self):
+        # NaN != NaN, so the symmetry check alone would call it asymmetric
+        x = np.eye(3)
+        x[0, 2] = x[2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            sparsify(x, 1e-6)
+
     def test_storage_invariants(self, rng):
         sm = sparsify(banded_symmetric(rng, 40), 1e-3)
         # no stored entry below tau
