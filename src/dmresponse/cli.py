@@ -408,22 +408,25 @@ def _solve_sp2(cfg, h0, s, a, h1, n_occ) -> dict:
             out["idempotency_fro"] = float(np.linalg.norm(d0 @ d0 - d0))
     else:
         values = {}
+        # The backward route runs first and stores its iterates; its
+        # expansion then serves both forward seeds by pair updates alone.
+        # Without it, the first forward route runs fresh and the second
+        # replays its record.
         trace = None
+        if _wants(cfg, "suscept-bwd"):
+            d0, chi_b, trace = response.susceptibility_backward(h0, a, n_occ)
+            values["a1_dual_backward"] = trace_product(chi_b, h1)
+            if not is_sparse:
+                # sparse iterates hold only their nnz entries, so no N^2 count
+                out["backward_stored_floats"] = trace.m_steps * h0.shape[0] ** 2
         if _wants(cfg, "perturb"):
-            d0, d1, trace = response.dm_perturbation_forward(h0, h1, n_occ)
+            d0, d1, trace = response.dm_perturbation_forward(h0, h1, n_occ, trace=trace)
             values["a1_direct"] = trace_product(a, d1)
         if _wants(cfg, "suscept-fwd"):
             d0, chi, trace = response.susceptibility_forward(h0, a, n_occ, trace=trace)
             values["a1_dual_forward"] = trace_product(chi, h1)
             if is_sparse:
                 out["nnz_chi"] = chi.nnz
-        if _wants(cfg, "suscept-bwd"):
-            d0, chi_b, trace_b = response.susceptibility_backward(h0, a, n_occ)
-            values["a1_dual_backward"] = trace_product(chi_b, h1)
-            if not is_sparse:
-                # sparse iterates hold only their nnz entries, so no N^2 count
-                out["backward_stored_floats"] = trace_b.m_steps * h0.shape[0] ** 2
-            trace = trace or trace_b
         out["values"] = values
     out.update(a0=trace_product(a, d0), expansion=_trace_summary(trace))
     if is_sparse:

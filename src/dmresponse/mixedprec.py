@@ -43,10 +43,12 @@ _GRID = {
 }
 
 
-def _round16(x: np.ndarray) -> np.ndarray:
+def _round16(x: np.ndarray, magnitude: np.ndarray | None = None) -> np.ndarray:
     """Round a float32 or float64 array to the nearest binary16 value (ties
     to even), widened to float32: bit for bit `np.float16(x).astype(np.float32)`
     wherever that is finite, |x| < 65520. Callers reject larger ones first.
+    A caller that already holds |x| passes it as `magnitude`, which becomes
+    the working buffer and is overwritten.
 
     With e the exponent of |x| clamped to at least -14 (binary16's
     subnormals share the spacing of its smallest normal binade), the unit in
@@ -62,7 +64,7 @@ def _round16(x: np.ndarray) -> np.ndarray:
     c = c_bits.view(x.dtype)
     np.maximum(c, 2.0**-14, out=c)
     c *= shift
-    out = np.abs(x)
+    out = np.abs(x) if magnitude is None else magnitude
     out += c
     out -= c
     np.bitwise_and(bits, sign, out=c_bits)  # c's buffer takes the result
@@ -75,12 +77,13 @@ def _round_array16(x: np.ndarray) -> np.ndarray:
     ValueError, magnitudes beyond the largest binary16 normal
     OverflowError. The expansions keep their iterates inside [0, 1], so an
     overflow is a bug, never something to saturate away."""
-    peak = np.max(np.abs(x), initial=0.0)
+    magnitude = np.abs(x)
+    peak = np.max(magnitude, initial=0.0)
     if not peak <= BINARY16_MAX:
         if not np.isfinite(peak):  # NaN propagates through the max
             raise ValueError("cannot round non-finite values to binary16")
         raise OverflowError(f"entry magnitude {float(peak)!r} exceeds the binary16 range")
-    return _round16(x)
+    return _round16(x, magnitude)
 
 
 class SplitMatrix(NamedTuple):

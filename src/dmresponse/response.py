@@ -13,6 +13,12 @@ gates every fresh run:
 * backward susceptibility: reverse-mode differentiation of the expectation
   value, which requires the stored iterate sequence.
 
+The backward route returns its stored run as an `sp2.Sp2Expansion`. Passed
+to either forward route as `trace`, it serves that route's seed by pair
+updates over the stored iterates, with no square and no second ground-state
+run: one stored expansion serves every seed, at the backward route's
+m_steps * N^2 floats for as long as the caller keeps it.
+
 Also here: the position-derivative assembly for non-orthogonal (overlap)
 representations, including the inverse-factor derivative and the
 transformed-Hamiltonian derivative it feeds.
@@ -23,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import symmetrize, trace_product
-from .sp2 import Sp2Trace, _expand
+from .sp2 import Sp2Expansion, Sp2Trace, _expand
 
 
 def dm_perturbation_forward(h0, h1, n_occ, trace: Sp2Trace | None = None):
@@ -33,10 +39,16 @@ def dm_perturbation_forward(h0, h1, n_occ, trace: Sp2Trace | None = None):
     fly (never stored as a sequence) while its directional derivative along
     h1 evolves next to it, sharing every branch choice. Passing `trace`, the
     record of an earlier run on the same h0 and n_occ, replays its branch
-    sequence and spectral bounds instead of re-deriving them.
+    sequence and spectral bounds instead of re-deriving them. An
+    Sp2Expansion (see :func:`susceptibility_backward`) is not replayed: its
+    stored iterates give d1 by pair updates alone, once h0 and n_occ are
+    checked against it (ValueError for an expansion of another problem).
 
     Returns (d0, d1, trace).
     """
+    if isinstance(trace, Sp2Expansion):
+        trace.check_source(h0, n_occ)
+        return trace.d0, trace.forward(h1), trace
     return _expand(h0, n_occ, y_seed=h1, replay=trace)
 
 
@@ -59,11 +71,14 @@ def susceptibility_backward(h0, a, n_occ):
     iterate sequence (m_steps matrices; for an N x N dense run the peak
     storage is m_steps * N^2 floats, recoverable from the returned trace).
     The derivative-scale factor is applied to the result rather than the
-    seed.
+    seed. A is checked once the expansion has run.
 
-    Returns (d0, chi, trace).
+    Returns (d0, chi, expansion): the returned Sp2Expansion holds the stored
+    iterates, and passed as `trace` to either forward route it serves that
+    route's seed without a second ground-state run.
     """
-    return _expand(h0, n_occ, backward=a)
+    _, _, expansion = _expand(h0, n_occ, store=True)
+    return expansion.d0, expansion.backward(a), expansion
 
 
 def z_position_derivative(s_inv: np.ndarray, s_tau: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ any derivative expansion can replay the identical sequence.
 
 `_expand` is the one place that runs the recursion, differentiated
 forward (a derivative iterate seeded with a perturbation or an observable)
-or backward (an observable swept back through the stored iterates). One
-arithmetic kernel per storage or precision does the matrix work and alone
-knows the storage kind: it checks the operands, bounds the spectrum and
-gates converged runs. The dense and thresholded-sparse kernels live here;
+or not at all. A run asked to store its iterates returns them, frozen, as an
+`Sp2Expansion`: the record of the run plus X_0 .. X_{m-1}, over which any
+number of seeds run forward and any number of observables run backward by
+pair updates alone, with no square. One arithmetic kernel per storage or
+precision does the matrix work and alone knows the storage kind: it checks
+the operands, bounds the spectrum and gates converged runs. The dense and thresholded-sparse kernels live here;
 the sparse one makes its branch decisions from thresholded traces.
 
 A run with a derivative iterate makes two independent products per step:
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,6 +99,54 @@ class Sp2Trace:
         return _init_scalars(self.bounds)[1]
 
 
+@dataclass(frozen=True, eq=False)
+class Sp2Expansion(Sp2Trace):
+    """A ground-state expansion frozen with its iterates.
+
+    The record of the run, which replays as any Sp2Trace does, plus the
+    run's arithmetic kernel `ops`, the iterates X_0 .. X_{m-1} its steps
+    consumed and the final iterate `d0`: m_steps * N^2 floats for a dense
+    run, besides D0. Built by `_expand(..., store=True)`.
+
+    `forward(seed)` and `backward(a)` differentiate the frozen expansion
+    with one pair update per step and no square. `forward` returns bit for
+    bit the derivative a fresh or replayed run with that seed returns.
+    """
+
+    ops: object = field(repr=False)
+    iterates: tuple = field(repr=False)
+    d0: object = field(repr=False)
+
+    def check_source(self, h0, n_occ: int) -> None:
+        """Raise ValueError unless this expansion was built from h0 at n_occ:
+        the replay's n_occ rule, then an exact O(N^2) comparison of h0's
+        seed with the stored X_0."""
+        if n_occ != self.n_occ:
+            raise ValueError(f"the replayed record targets n_occ = {self.n_occ}, got {n_occ}")
+        self.ops.check(h0, "the given h0")
+        if not self.ops.same(self.ops.seed(self.alpha, self.beta_spec, h0), self.iterates[0]):
+            raise ValueError("the expansion was built from another h0")
+
+    def forward(self, seed):
+        """Derivative of the expansion along a symmetric seed: Y_0 = beta
+        seed, then Y_{n+1} from Y_n and the stored X_n."""
+        self.ops.check(seed, "seed")
+        y = self.ops.scale(self.beta_spec, seed)
+        for sigma, xn in zip(self.sigmas, self.iterates):
+            y = self.ops.pair_update(sigma, y, xn)
+        return y
+
+    def backward(self, a):
+        """Susceptibility of the observable A: A swept back through the
+        stored iterates; the derivative-scale factor goes on the result, not
+        the seed."""
+        self.ops.check(a, "a")
+        y = a
+        for sigma, xn in zip(reversed(self.sigmas), reversed(self.iterates)):
+            y = self.ops.pair_update(sigma, y, xn)
+        return self.ops.scale(self.beta_spec, y)
+
+
 def _init_scalars(bounds: SpectralBounds) -> tuple[float, float]:
     """(alpha, beta) mapping [eps_min, eps_max] onto [1, 0]; bounds of no
     width or of a width beyond the float64 range raise ValueError."""
@@ -147,6 +197,11 @@ class _DenseOps:
 
     def seed(self, alpha: float, beta: float, h0: np.ndarray) -> np.ndarray:
         return self._flush(alpha * np.eye(self.n) + beta * h0)
+
+    @staticmethod
+    def same(x, y) -> bool:
+        """Whether two iterates are equal entry for entry."""
+        return np.array_equal(x, y)
 
     def scale(self, c: float, x: np.ndarray) -> np.ndarray:
         return c * x
@@ -242,6 +297,10 @@ class _SparseOps(_DenseOps):
 
         return threshold(sp.identity(self.n, format="csr") * alpha + h0.csr * beta, self.tau)
 
+    @staticmethod
+    def same(x: SparseMatrix, y: SparseMatrix) -> bool:
+        return (x.csr != y.csr).nnz == 0
+
     def scale(self, c: float, x: SparseMatrix) -> SparseMatrix:
         return SparseMatrix(_canonical(x.csr * c), self.tau)
 
@@ -280,19 +339,20 @@ def _joined(y):
     return y.result() if isinstance(y, Future) else y
 
 
-def _expand(h0, n_occ, y_seed=None, replay=None, backward=None, ops=None):
+def _expand(h0, n_occ, y_seed=None, replay=None, store=False, ops=None):
     """Run the SP2 recursion, optionally differentiated in one direction.
 
     `ops` is the arithmetic kernel; it defaults to the dense or sparse one
     matching h0 (the low-precision kernels live in `mixedprec`). The kernel
-    checks h0, `y_seed` and `backward`, and gates every fresh run (see
+    checks h0 and `y_seed`, and gates every fresh run (see
     `_DenseOps.gate`).
 
     Returns (x_final, y_final, trace). With `y_seed` the derivative iterate
-    evolves forward next to the ground-state iterate. With `backward` (an
-    observable A) every iterate is stored, and after the gate A is swept
-    back through them: y_final is then the susceptibility of A. With
-    neither, y_final is None.
+    evolves forward next to the ground-state iterate; without it y_final is
+    None. With `store` every iterate is kept and the trace is an
+    Sp2Expansion holding them (m_steps * N^2 floats for a dense run), which
+    differentiates the frozen run in any direction, forward or backward, by
+    pair updates alone. Without it nothing is stored.
 
     With `replay` (an earlier run's Sp2Trace) its bounds and branch
     sequence are consumed verbatim instead of re-derived, which reproduces
@@ -310,7 +370,7 @@ def _expand(h0, n_occ, y_seed=None, replay=None, backward=None, ops=None):
     h0.
     """
     ops = ops or _ops_for(h0)
-    for m, name in ((h0, "h0"), (y_seed, "seed"), (backward, "a")):
+    for m, name in ((h0, "h0"), (y_seed, "seed")):
         if m is not None:
             ops.check(m, name)
     n = ops.n
@@ -360,7 +420,7 @@ def _expand(h0, n_occ, y_seed=None, replay=None, backward=None, ops=None):
                 d_plus = abs(tr_x2 - target)
                 d_minus = abs(2.0 * tr_x - tr_x2 - target)
                 sigma = 1 if d_plus <= d_minus else -1
-            if backward is not None:
+            if store:
                 stored.append(x)
             if y is not None:
                 if lane is None:
@@ -376,17 +436,15 @@ def _expand(h0, n_occ, y_seed=None, replay=None, backward=None, ops=None):
             # waits for an update still in flight, so no thread outlives the run
             lane.shutdown()
 
-    trace = Sp2Trace(sigmas=tuple(sigmas), idempotency_log=tuple(log), bounds=bounds, n_occ=n_occ)
+    record = {"sigmas": tuple(sigmas), "idempotency_log": tuple(log), "bounds": bounds, "n_occ": n_occ}
+    if store:
+        trace = Sp2Expansion(**record, ops=ops, iterates=tuple(stored), d0=x)
+    else:
+        trace = Sp2Trace(**record)
     if replay is None:
         ops.gate(x, trace)
     else:
         ops.check_occupation(x, trace, "; the replayed record does not belong to this h0")
-    if backward is not None:
-        # the derivative-scale factor goes on the result, not the seed
-        y = backward
-        for sigma, xn in zip(reversed(sigmas), reversed(stored)):
-            y = ops.pair_update(sigma, y, xn)
-        y = ops.scale(beta, y)
     return x, y, trace
 
 

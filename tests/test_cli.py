@@ -257,6 +257,52 @@ class TestRespond:
         assert sparse_rep["results"]["route"] == "sparse"
         assert "backward_stored_floats" not in sparse_rep["results"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kind", "gapped_random", "--size", "40", "--seed", "7"],
+            ["--kind", "overlap_chain", "--size", "40"],
+            ["--kind", "chain", "--size", "200", "--tau", "1e-6"],
+            ["--kind", "gapped_random", "--size", "30", "--kernel", "hubbard:1"],
+        ],
+        ids=["dense", "dense_orthogonalized", "sparse", "scf"],
+    )
+    def test_mode_both_values_equal_separate_modes(self, tmp_path, flags):
+        # --mode both serves its forward seeds from the backward route's
+        # stored expansion; each value must equal that of its mode run alone
+        modes = {
+            "a1_direct": "perturb",
+            "a1_dual_forward": "suscept-fwd",
+            "a1_dual_backward": "suscept-bwd",
+        }
+        _, both = run_cli(["respond", *flags, "--mode", "both"], tmp_path, "both.json")
+        results = both["results"]
+        assert len(results["values"]) == (2 if "--kernel" in flags else 3)
+        for key, value in results["values"].items():
+            argv = ["respond", *flags, "--mode", modes[key]]
+            _, alone = run_cli(argv, tmp_path, f"{key}.json")
+            assert alone["results"]["values"] == {key: value}
+            assert alone["results"]["a0"] == results["a0"]
+            assert alone["results"]["expansion"] == results["expansion"]
+
+    @pytest.mark.parametrize(
+        "mode, stored",
+        [("perturb", [False]), ("suscept-fwd", [False]), ("suscept-bwd", [True]), ("both", [True])],
+    )
+    def test_one_expansion_serves_every_mode(self, tmp_path, monkeypatch, mode, stored):
+        # each entry is one SP2 run and whether it stored its iterates
+        runs = []
+        real = response._expand
+
+        def spy(*args, store=False, **kwargs):
+            runs.append(store)
+            return real(*args, store=store, **kwargs)
+
+        monkeypatch.setattr(response, "_expand", spy)
+        argv = ["respond", "--kind", "gapped_random", "--size", "20", "--mode", mode]
+        code, _ = run_cli(argv, tmp_path)
+        assert code == 0 and runs == stored
+
     def test_determinism_modulo_timing(self, tmp_path):
         args = [
             "respond",

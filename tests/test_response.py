@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmresponse import sp2
 from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import (
     inverse_sqrt_factor,
@@ -8,7 +9,7 @@ from dmresponse.linalg import (
     symmetrize,
     trace_product,
 )
-from dmresponse.models import gapped_random_hamiltonian
+from dmresponse.models import chain_hamiltonian, gapped_random_hamiltonian
 from dmresponse.oracles import finite_difference_response, projector_derivative_exact
 from dmresponse.response import (
     dm_perturbation_forward,
@@ -18,6 +19,8 @@ from dmresponse.response import (
     susceptibility_forward,
     z_position_derivative,
 )
+from dmresponse.sp2 import Sp2Expansion, Sp2Trace
+from dmresponse.sparse import SparseMatrix, sparsify
 
 from conftest import (
     chain_observable_value,
@@ -135,6 +138,104 @@ class TestSusceptibilityBackward:
         _, chi_f, _ = susceptibility_forward(h0, a, n_occ)
         _, chi_b, _ = susceptibility_backward(h0, a, n_occ)
         assert np.linalg.norm(chi_f - chi_b) <= 1e-9 * max(1.0, np.linalg.norm(chi_f))
+
+
+def _bits(m):
+    if isinstance(m, SparseMatrix):
+        return [m.csr.indptr.tobytes(), m.csr.indices.tobytes(), m.csr.data.tobytes()]
+    return [m.dtype.str, m.tobytes()]
+
+
+def _problem(storage, rng):
+    """(h0, a, h1, n_occ): a dense gapped_random problem, or a dimerized
+    chain thresholded at tau = 1e-6 with banded A and H1."""
+    if storage == "dense":
+        n = 40
+        h0 = gapped_random_hamiltonian(n, 1.0, n // 2, seed=51)
+        return h0, random_symmetric(rng, n), random_symmetric(rng, n), n // 2
+    n, tau = 120, 1e-6
+    i, j = np.indices((n, n))
+
+    def banded():
+        x = random_symmetric(rng, n)
+        x[np.abs(i - j) > 2] = 0.0
+        return sparsify(x, tau)
+
+    return sparsify(chain_hamiltonian(n, 1.0), tau), banded(), banded(), n // 2
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+class TestStoredExpansion:
+    def test_forward_matches_fresh_and_replayed_runs(self, rng, storage):
+        h0, a, h1, n_occ = _problem(storage, rng)
+        d0_b, _, expansion = susceptibility_backward(h0, a, n_occ)
+        d0, d1, trace = dm_perturbation_forward(h0, h1, n_occ)
+        _, d1_replayed, _ = dm_perturbation_forward(h0, h1, n_occ, trace=trace)
+        d0_e, d1_e, trace_e = dm_perturbation_forward(h0, h1, n_occ, trace=expansion)
+        # a forward run stores nothing; the backward run keeps every iterate
+        assert type(trace) is Sp2Trace
+        assert isinstance(expansion, Sp2Expansion) and trace_e is expansion
+        assert len(expansion.iterates) == expansion.m_steps == trace.m_steps
+        assert (expansion.sigmas, expansion.idempotency_log, expansion.bounds) == (
+            trace.sigmas,
+            trace.idempotency_log,
+            trace.bounds,
+        )
+        assert _bits(d1_e) == _bits(d1) == _bits(d1_replayed)
+        assert _bits(d0_e) == _bits(d0_b) == _bits(d0)
+        _, chi, _ = susceptibility_forward(h0, a, n_occ)
+        _, chi_e, _ = susceptibility_forward(h0, a, n_occ, trace=expansion)
+        assert _bits(chi_e) == _bits(chi)
+
+    def test_backward_matches_backward_route(self, rng, storage):
+        h0, a, h1, n_occ = _problem(storage, rng)
+        _, chi_b, _ = susceptibility_backward(h0, a, n_occ)
+        # an expansion stored by replaying a forward run's record
+        _, _, trace = dm_perturbation_forward(h0, h1, n_occ)
+        _, _, expansion = sp2._expand(h0, n_occ, replay=trace, store=True)
+        assert _bits(expansion.backward(a)) == _bits(chi_b)
+        # using the expansion leaves it unchanged
+        _, d1, _ = dm_perturbation_forward(h0, h1, n_occ)
+        assert _bits(expansion.forward(h1)) == _bits(d1)
+        assert _bits(expansion.backward(a)) == _bits(chi_b)
+
+    def test_rejects_another_problem(self, rng, storage):
+        h0, a, h1, n_occ = _problem(storage, rng)
+        _, _, expansion = susceptibility_backward(h0, a, n_occ)
+        with pytest.raises(ValueError, match=f"targets n_occ = {n_occ}, got {n_occ - 2}"):
+            dm_perturbation_forward(h0, h1, n_occ - 2, trace=expansion)
+        dense = h0.to_dense() if storage == "sparse" else h0
+
+        def stored(x):
+            return sparsify(x, h0.tau) if storage == "sparse" else x
+
+        # one entry pair moved by a relative 1e-12 is another h0
+        nudged = dense.copy()
+        nudged[0, 1] = nudged[1, 0] = dense[0, 1] * (1.0 + 1e-12)
+        for other in (nudged, 2.0 * dense):
+            with pytest.raises(ValueError, match="built from another h0"):
+                susceptibility_forward(stored(other), a, n_occ, trace=expansion)
+        other_kind = dense if storage == "sparse" else sparsify(dense, 0.0)
+        with pytest.raises(ValueError, match="same storage kind"):
+            dm_perturbation_forward(other_kind, h1, n_occ, trace=expansion)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dm_perturbation_forward(stored(dense[:-1, :-1]), h1, n_occ, trace=expansion)
+
+    def test_rejects_seed_of_wrong_kind_or_dimension(self, rng, storage):
+        h0, a, h1, n_occ = _problem(storage, rng)
+        _, _, expansion = susceptibility_backward(h0, a, n_occ)
+        if storage == "sparse":
+            dense = h1.to_dense()
+            other_kind, smaller = dense, sparsify(dense[:-1, :-1], h1.tau)
+        else:
+            other_kind, smaller = sparsify(h1, 0.0), h1[:-1, :-1]
+        for route in (dm_perturbation_forward, susceptibility_forward):
+            with pytest.raises(ValueError, match="^seed must be the same storage kind as h0"):
+                route(h0, other_kind, n_occ, trace=expansion)
+            with pytest.raises(ValueError, match="^dimension mismatch: h0 is .*, seed has shape"):
+                route(h0, smaller, n_occ, trace=expansion)
+        with pytest.raises(ValueError, match="^a must be the same storage kind as h0"):
+            expansion.backward(other_kind)
 
 
 class TestZPositionDerivative:

@@ -20,7 +20,7 @@ from dmresponse.scf import (
     scf_response,
     scf_susceptibility,
 )
-from dmresponse.sp2 import sp2_ground_state
+from dmresponse.sp2 import Sp2Expansion, sp2_ground_state
 
 from conftest import random_symmetric
 
@@ -307,25 +307,44 @@ class TestKrylovAndAnderson:
 
     @pytest.mark.parametrize("beta_t", [None, 20.0])
     def test_applications_count_every_derivative_call(self, rng, monkeypatch, beta_t):
-        # the derivative L is the replayed expansion at zero temperature and
-        # the trace-neutral Fermi derivative otherwise
+        # the derivative L is the stored expansion's forward pass at zero
+        # temperature and the trace-neutral Fermi derivative otherwise
         n = 12
         h, _, h1 = gapped_case(rng, n, 97)
         state = scf_ground_state(h, None, hubbard(1.0), n // 2, ScfConfig(beta_t=beta_t))
-        name = "dm_perturbation_forward" if beta_t is None else "trace_neutral_derivative"
-        real = getattr(scf, name)
+        owner, name = (Sp2Expansion, "forward") if beta_t is None else (scf, "trace_neutral_derivative")
+        real = getattr(owner, name)
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scf, name, spy)
+        monkeypatch.setattr(owner, name, spy)
         res = scf_response(state, h1)
         assert len(calls) == res.applications
         # the start L(seed), then one fresh image per residual
         assert len(res.residuals) == res.applications - 1
         assert res.residuals[-1] <= ScfConfig().eps_scf
+
+    def test_stored_expansion_reproduces_replayed_applications(self, rng, monkeypatch):
+        # each zero-temperature application runs over one stored expansion;
+        # replaying the ground state's record instead gives the same solve
+        n = 12
+        h, _, h1 = gapped_case(rng, n, 97)
+        state = scf_ground_state(h, None, hubbard(1.0), n // 2)
+        stored = scf_response(state, h1)
+
+        def replayed(self, seed):
+            return dm_perturbation_forward(
+                state.h0_perp, seed, state.n_occ, trace=state.sp2_trace
+            )[1]
+
+        monkeypatch.setattr(Sp2Expansion, "forward", replayed)
+        replay = scf_response(state, h1)
+        assert stored.response.tobytes() == replay.response.tobytes()
+        assert stored.residuals == replay.residuals
+        assert stored.applications == replay.applications
 
     @pytest.mark.parametrize("basis", ["finite_temperature", "overlap"])
     def test_duality_through_new_solvers(self, rng, basis):

@@ -362,8 +362,11 @@ def _bits(m):
 
 class TestEngineBoundary:
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("role, name", [("y_seed", "seed"), ("backward", "a")])
+    @pytest.mark.parametrize(
+        "role, name", [("y_seed", "seed"), ("forward", "seed"), ("backward", "a")]
+    )
     def test_operand_of_wrong_kind_or_dimension_rejected(self, kernel, role, name):
+        # y_seed: a fresh run's seed; forward, backward: a stored expansion's
         h, m, ops, n = _kernel_problem(kernel)
         if isinstance(m, SparseMatrix):
             other_kind = m.to_dense()
@@ -371,10 +374,18 @@ class TestEngineBoundary:
         else:
             other_kind = sparsify(m, 0.0)
             smaller = m[:-1, :-1]
+
+        def run(operand):
+            if role == "y_seed":
+                sp2._expand(h, n // 2, y_seed=operand, ops=ops(h))
+            else:
+                _, _, expansion = sp2._expand(h, n // 2, store=True, ops=ops(h))
+                getattr(expansion, role)(operand)
+
         with pytest.raises(ValueError, match=f"^{name} must be the same storage kind as h0"):
-            sp2._expand(h, n // 2, ops=ops(h), **{role: other_kind})
+            run(other_kind)
         with pytest.raises(ValueError, match=f"dimension mismatch: h0 is {n}, {name} has shape"):
-            sp2._expand(h, n // 2, ops=ops(h), **{role: smaller})
+            run(smaller)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_replay_reproduces_fresh_run(self, kernel):
@@ -388,6 +399,24 @@ class TestEngineBoundary:
         assert _bits(xr) == _bits(x) and _bits(yr) == _bits(y)
         if kernel in ("f32", "split16"):
             assert replay_ops.mult_count == fresh_ops.mult_count
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_stored_expansion_runs_pair_updates_only(self, kernel):
+        h, seed, ops, n = _kernel_problem(kernel)
+        n_occ = n // 2
+        x, y, trace = sp2._expand(h, n_occ, y_seed=seed, ops=ops(h))
+        store_ops = ops(h)
+        xs, _, expansion = sp2._expand(h, n_occ, store=True, ops=store_ops)
+        assert isinstance(expansion, sp2.Sp2Expansion) and expansion.ops is store_ops
+        assert (expansion.sigmas, expansion.idempotency_log) == (trace.sigmas, trace.idempotency_log)
+        assert _bits(xs) == _bits(x) == _bits(expansion.d0)
+        products = getattr(store_ops, "mult_count", 0)
+        assert _bits(expansion.forward(seed)) == _bits(y)
+        if kernel in ("f32", "split16"):
+            # one symmetrized pair product per step and no square: 1 float32
+            # product, or 3 split ones
+            per_pair = 1 if kernel == "f32" else 3
+            assert store_ops.mult_count - products == per_pair * trace.m_steps
 
     def test_gate_runs_once_per_fresh_run_never_on_replay(self, monkeypatch):
         gated = []
