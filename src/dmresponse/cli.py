@@ -343,9 +343,31 @@ def _check_finite(obj, path="report"):
 # one solver per route; each runs the ground state for ground-state and the
 # requested response routes for respond. h1 is None under ground-state.
 
+# the a1 value of each respond mode, in the order the modes run: the backward
+# mode first, so that its stored expansion can serve the forward seeds
+A1_KEYS = {
+    "suscept-bwd": "a1_dual_backward",
+    "perturb": "a1_direct",
+    "suscept-fwd": "a1_dual_forward",
+}
 
-def _wants(cfg: RunConfig, mode: str) -> bool:
-    return cfg.mode in (mode, "both")
+
+def _a1_values(cfg, respond, a, h1, backward=False, trace_product=linalg.trace_product):
+    """Run the requested modes, the backward one only where the route has it,
+    and contract each result: a1_direct = Tr[A D1], the duals Tr[chi H1].
+
+    respond(key, seed) returns the response for the a1 value `key`: D1 for
+    the seed H1, chi for the seed A.
+    """
+    values = {}
+    for mode, key in A1_KEYS.items():
+        if cfg.mode not in (mode, "both") or (mode == "suscept-bwd" and not backward):
+            continue
+        if key == "a1_direct":
+            values[key] = trace_product(a, respond(key, h1))
+        else:
+            values[key] = trace_product(respond(key, a), h1)
+    return values
 
 
 def _solve_scf(cfg, h0, s, a, h1, n_occ) -> dict:
@@ -353,45 +375,41 @@ def _solve_scf(cfg, h0, s, a, h1, n_occ) -> dict:
     state = scf.scf_ground_state(h0, s, kernel, n_occ, scf.ScfConfig(beta_t=cfg.beta_t))
     out = {
         "a0": linalg.trace_product(a, state.d0),
-        "mu0": state.mu0,
+        "mu0": state.inner.mu0,
         "scf_iterations": len(state.residuals),
     }
-    if state.sp2_trace is not None:
-        out["expansion"] = _trace_summary(state.sp2_trace)
+    if cfg.beta_t is None:
+        out["expansion"] = _trace_summary(state.inner.trace)
     if h1 is None:
         out["scf_final_residual"] = state.residuals[-1]
-        out["trace_d0"] = float(np.trace(state.d0_perp))
+        out["trace_d0"] = float(np.trace(state.inner.d0))
         return out
-    values = {}
     iterations = {}  # derivative applications of each coupled-perturbed solve
-    if _wants(cfg, "perturb"):
-        res = scf.scf_response(state, h1)
-        values["a1_direct"] = linalg.trace_product(a, res.response)
-        iterations["a1_direct"] = res.applications
-    if _wants(cfg, "suscept-fwd"):
-        res = scf.scf_response(state, a)
-        values["a1_dual_forward"] = linalg.trace_product(res.response, h1)
-        iterations["a1_dual_forward"] = res.applications
-    out.update(values=values, response_iterations=iterations)
+
+    def respond(key, seed):
+        res = scf.scf_response(state, seed)
+        iterations[key] = res.applications
+        return res.response
+
+    out.update(values=_a1_values(cfg, respond, a, h1), response_iterations=iterations)
     return out
 
 
 def _solve_thermal(cfg, h0, s, a, h1, n_occ) -> dict:
     # one eigenbasis serves D, mu0 and both responses
-    d, eig, mu0 = thermal._fermi_eigenbasis(h0, cfg.beta_t, float(n_occ))
-    out = {"a0": linalg.trace_product(a, d), "mu0": mu0}
+    ground = thermal._fermi_eigenbasis(h0, cfg.beta_t, float(n_occ))
+    out = {"a0": linalg.trace_product(a, ground.d0), "mu0": ground.mu0}
     if h1 is None:
-        out["trace_d0"] = float(np.trace(d))
+        out["trace_d0"] = float(np.trace(ground.d0))
         return out
-    values = {}
-    mu1 = None  # the chemical-potential response to h1, so only the H1 route sets it
-    if _wants(cfg, "perturb"):
-        d1, mu1 = thermal.trace_neutral_derivative(eig, h1, cfg.beta_t, mu0)
-        values["a1_direct"] = linalg.trace_product(a, d1)
-    if _wants(cfg, "suscept-fwd"):
-        chi, _ = thermal.trace_neutral_derivative(eig, a, cfg.beta_t, mu0)
-        values["a1_dual_forward"] = linalg.trace_product(chi, h1)
-    out.update(mu1=mu1, values=values)
+    mu1 = {}  # the chemical-potential response of each solve; the report keeps H1's
+
+    def respond(key, seed):
+        d1, mu1[key] = ground.derivative(seed)
+        return d1
+
+    out["values"] = _a1_values(cfg, respond, a, h1)
+    out["mu1"] = mu1.get("a1_direct")
     return out
 
 
@@ -407,27 +425,27 @@ def _solve_sp2(cfg, h0, s, a, h1, n_occ) -> dict:
         if not is_sparse:
             out["idempotency_fro"] = float(np.linalg.norm(d0 @ d0 - d0))
     else:
-        values = {}
-        # The backward route runs first and stores its iterates; its
-        # expansion then serves both forward seeds by pair updates alone.
-        # Without it, the first forward route runs fresh and the second
-        # replays its record.
+        # The backward route stores its iterates; its expansion then serves
+        # both forward seeds by pair updates alone. Without it, the first
+        # forward route runs fresh and the second replays its record.
         trace = None
-        if _wants(cfg, "suscept-bwd"):
-            d0, chi_b, trace = response.susceptibility_backward(h0, a, n_occ)
-            values["a1_dual_backward"] = trace_product(chi_b, h1)
-            if not is_sparse:
-                # sparse iterates hold only their nnz entries, so no N^2 count
-                out["backward_stored_floats"] = trace.m_steps * h0.shape[0] ** 2
-        if _wants(cfg, "perturb"):
-            d0, d1, trace = response.dm_perturbation_forward(h0, h1, n_occ, trace=trace)
-            values["a1_direct"] = trace_product(a, d1)
-        if _wants(cfg, "suscept-fwd"):
-            d0, chi, trace = response.susceptibility_forward(h0, a, n_occ, trace=trace)
-            values["a1_dual_forward"] = trace_product(chi, h1)
-            if is_sparse:
-                out["nnz_chi"] = chi.nnz
-        out["values"] = values
+
+        def respond(key, seed):
+            nonlocal d0, trace
+            if key == "a1_dual_backward":
+                d0, y, trace = response.susceptibility_backward(h0, seed, n_occ)
+                if not is_sparse:
+                    # sparse iterates hold only their nnz entries, so no N^2 count
+                    out["backward_stored_floats"] = trace.m_steps * h0.shape[0] ** 2
+            elif key == "a1_direct":
+                d0, y, trace = response.dm_perturbation_forward(h0, seed, n_occ, trace=trace)
+            else:
+                d0, y, trace = response.susceptibility_forward(h0, seed, n_occ, trace=trace)
+                if is_sparse:
+                    out["nnz_chi"] = y.nnz
+            return y
+
+        out["values"] = _a1_values(cfg, respond, a, h1, backward=True, trace_product=trace_product)
     out.update(a0=trace_product(a, d0), expansion=_trace_summary(trace))
     if is_sparse:
         out.update(nnz_d0=d0.nnz, max_nnz_per_row_d0=d0.max_nnz_per_row())
@@ -435,8 +453,8 @@ def _solve_sp2(cfg, h0, s, a, h1, n_occ) -> dict:
 
 
 def _solve_low_precision(cfg, h0, s, a, h1, n_occ) -> dict:
-    """f32 or split16 expansions, each response checked against its float64
-    route."""
+    """f32 or split16 expansions, each response checked against a fresh
+    float64 run."""
     pipeline = (
         mixedprec.mixed_response_pipeline
         if cfg.precision == "split16"
@@ -450,22 +468,18 @@ def _solve_low_precision(cfg, h0, s, a, h1, n_occ) -> dict:
             "mult_count": res.mult_count,
             "expansion": _trace_summary(res.trace),
         }
-    values = {}
-    ref = {}
-    mult_count = 0
-    ref_trace = None  # the float64 D1 run's branch record, replayed for chi
-    if _wants(cfg, "perturb"):
-        res = pipeline(h0, h1, n_occ, mode="perturbation")
-        values["a1_direct"] = linalg.trace_product(a, res.response)
-        mult_count += res.mult_count
-        _, d1_ref, ref_trace = response.dm_perturbation_forward(h0, h1, n_occ)
-        ref["a1_direct_f64"] = linalg.trace_product(a, d1_ref)
-    if _wants(cfg, "suscept-fwd"):
-        res = pipeline(h0, a, n_occ, mode="susceptibility")
-        values["a1_dual_forward"] = linalg.trace_product(res.response, h1)
-        mult_count += res.mult_count
-        _, chi_ref, _ = response.susceptibility_forward(h0, a, n_occ, trace=ref_trace)
-        ref["a1_dual_forward_f64"] = linalg.trace_product(chi_ref, h1)
+    runs = []
+
+    def respond(key, seed):
+        mode = "perturbation" if key == "a1_direct" else "susceptibility"
+        runs.append(pipeline(h0, seed, n_occ, mode=mode))
+        return runs[-1].response
+
+    def respond_f64(key, seed):
+        return response.dm_perturbation_forward(h0, seed, n_occ)[1]
+
+    values = _a1_values(cfg, respond, a, h1)
+    ref = {f"{k}_f64": v for k, v in _a1_values(cfg, respond_f64, a, h1).items()}
     rel = {
         k: abs(values[k.removesuffix("_f64")] - v) / max(abs(v), 1e-300)
         for k, v in ref.items()
@@ -474,8 +488,8 @@ def _solve_low_precision(cfg, h0, s, a, h1, n_occ) -> dict:
         "values": values,
         "f64_reference": ref,
         "relative_error_vs_f64": rel,
-        "mult_count": mult_count,
-        "expansion": _trace_summary(res.trace),
+        "mult_count": sum(r.mult_count for r in runs),
+        "expansion": _trace_summary(runs[-1].trace),
     }
 
 

@@ -2,16 +2,24 @@
 
 The Hamiltonian depends on the density through a pluggable linear,
 symmetry-preserving kernel G. Each sweep is the transformed solve:
-congruence to the orthonormal basis, spectral projection or Fermi smearing,
-congruence back. The ground state is its fixed point, reached by Anderson
+congruence to the orthonormal basis, the inner ground state there, and
+congruence back. The inner ground state is picked once per run: an
+`Sp2GroundState` (spectral projection) at zero temperature and a
+`thermal.FermiGroundState` (Fermi smearing) otherwise. Both are frozen and
+offer `d0`, `mu0` and `forward(seed)`, the derivative of D0 along a seed
+(Niklasson, Cawkwell, Rubensson & Rudberg, PRE 92, 063301, 2015).
+
+The ground state is the fixed point of the sweep, reached by Anderson
 (DIIS) mixing of the density (Anderson, J. ACM 12, 547, 1965; Pulay, Chem.
 Phys. Lett. 73, 393, 1980). A first-order response solves the linear
-coupled-perturbed equation y = L(seed + G(y)), with L the derivative of the
-frozen ground state, by the same mixer; on a linear fixed point Anderson
-mixing is a Krylov method, essentially the generalized minimal residual
-method (Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011). The
-susceptibility is the density response with the observable in the seed
-position.
+coupled-perturbed equation y = L(seed + G(y)), with L the inner ground
+state's `forward` between the congruences, by the same mixer; on a linear
+fixed point Anderson mixing is a Krylov method, essentially the generalized
+minimal residual method (Walker & Ni, SIAM J. Numer. Anal. 49, 1715, 2011).
+The susceptibility is the density response with the observable in the seed
+position. Three module constants set the mixer for both solves: C_MIX, its
+step weight; EPS_SCF, the residual it stops at; and MAX_ITERS, the cap on
+sweeps and, per response, on derivative applications.
 """
 
 from __future__ import annotations
@@ -19,23 +27,32 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 
 from .exceptions import ConvergenceError
 from .linalg import (
-    EigenDecomposition,
     congruence_transform,
     inverse_sqrt_factor,
     sym_eigendecompose,
     symmetrize,
 )
 from .sp2 import Sp2Trace, _expand, sp2_ground_state
-from .thermal import _fermi_eigenbasis, trace_neutral_derivative
+from .thermal import FermiGroundState, _fermi_eigenbasis
 
-# image-to-image (iterate, residual) differences the Anderson mixer
-# extrapolates over
+# The Anderson mixer both solves share:
+# - image-to-image (iterate, residual) differences it extrapolates over;
 ANDERSON_DEPTH = 8
+# - the share of each fresh residual (image minus iterate) added to the
+#   extrapolated iterate (1 takes it whole);
+C_MIX = 0.3
+# - the bound on the Frobenius norm of the final residual;
+EPS_SCF = 1e-11
+# - the cap on ground-state sweeps, and separately on the derivative
+#   applications of each response solve.
+MAX_ITERS = 500
 
 
 class ZeroKernel:
@@ -96,77 +113,88 @@ def apply_kernel(kernel, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScfConfig:
-    """Self-consistency parameters.
+    """Self-consistency parameters: beta_t, when set, selects the
+    fractional-occupation path at that inverse temperature. The mixer's
+    settings are the module constants C_MIX, EPS_SCF and MAX_ITERS."""
 
-    c_mix is the step weight of the Anderson mixer both solves share: the
-    share of each fresh residual (image minus iterate) added to the
-    extrapolated iterate (1 takes it whole). eps_scf bounds the Frobenius
-    norm of the final residual of both solves. max_iters caps the
-    ground-state sweeps, and separately the derivative applications of each
-    response solve. beta_t, when set,
-    selects the fractional-occupation path at that inverse temperature.
-    """
-
-    c_mix: float = 0.3
-    eps_scf: float = 1e-11
-    max_iters: int = 500
     beta_t: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.c_mix <= 1.0:
-            raise ValueError("c_mix must lie in (0, 1]")
-        if self.eps_scf <= 0.0:
-            raise ValueError("eps_scf must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
         if self.beta_t is not None and not 0.0 < self.beta_t < math.inf:
             raise ValueError(
                 f"inverse temperature beta_t must be finite and positive, got {self.beta_t}"
             )
 
 
+@dataclass(frozen=True, eq=False)
+class Sp2GroundState:
+    """Zero-temperature inner ground state: the SP2 density matrix D0 of the
+    orthonormal-basis Hamiltonian h, with the Sp2Trace of its run.
+
+    `forward(seed)` differentiates the frozen expansion. The first call
+    replays the trace once, storing its iterates (an sp2.Sp2Expansion: m_steps
+    * N^2 floats, about 2.2 MB at n = 100 and 256 MB at N = 1000), and every
+    call, of every response solve over this state, is one pair update per
+    step over them, with no square. mu0, the HOMO-LUMO midpoint, costs an
+    eigendecomposition of h, run only when it is read.
+    """
+
+    h: np.ndarray
+    d0: np.ndarray
+    trace: Sp2Trace
+
+    @cached_property
+    def _expansion(self):
+        return _expand(self.h, self.trace.n_occ, replay=self.trace, store=True)[2]
+
+    def forward(self, seed: np.ndarray) -> np.ndarray:
+        return self._expansion.forward(seed)
+
+    @cached_property
+    def mu0(self) -> float:
+        values = sym_eigendecompose(self.h).values
+        n_occ = self.trace.n_occ
+        return 0.5 * (float(values[n_occ - 1]) + float(values[n_occ]))
+
+
 @dataclass(frozen=True)
 class ScfState:
-    """Converged self-consistent ground state plus everything a response
-    solve replays: the orthonormal-basis Hamiltonian, its expansion record
-    (zero T) or eigendecomposition (finite T), and the chemical potential."""
+    """Converged self-consistent ground state: the overlap factor Z, the
+    kernel, D0, the H_eff that builds it, the inner ground state of the
+    orthonormal-basis H_eff (an Sp2GroundState at zero temperature, a
+    thermal.FermiGroundState otherwise) that every response solve
+    differentiates, and the sweeps' residual history."""
 
     z: np.ndarray
     kernel: object
-    n_occ: int
-    cfg: ScfConfig
     d0: np.ndarray
     h_eff: np.ndarray
-    h0_perp: np.ndarray
-    d0_perp: np.ndarray
-    mu0: float
-    sp2_trace: Sp2Trace | None
-    eig_perp: EigenDecomposition | None
+    inner: Sp2GroundState | FermiGroundState
     residuals: tuple[float, ...] = field(default=())
 
 
-def _anderson_step(d, f, diffs: deque, c_mix: float) -> np.ndarray:
+def _anderson_step(d, f, diffs: deque) -> np.ndarray:
     """Next iterate from the current one and its residual f = image - iterate.
 
     Anderson (DIIS) extrapolation over `diffs`, the (iterate, residual)
     differences of the last few images: the combination whose residual has
-    the least Frobenius norm is stepped along c_mix times that residual.
+    the least Frobenius norm is stepped along C_MIX times that residual.
     Without differences it is plain linear mixing. Every operand is
     symmetric, so the result is too.
     """
-    step = d + c_mix * f
+    step = d + C_MIX * f
     if diffs:
         df = np.stack([g.ravel() for _, g in diffs], axis=1)
         gamma = np.linalg.lstsq(df, f.ravel(), rcond=None)[0]
         for g, (dd, dfi) in zip(gamma, diffs):
-            step -= g * (dd + c_mix * dfi)
+            step -= g * (dd + C_MIX * dfi)
     return step
 
 
-def _anderson(image, x, cfg: ScfConfig, cap: int, what):
+def _anderson(image, x, cap: int, what):
     """Fixed point x = image(x) by Anderson mixing, from the given x and
     within `cap` images. image(x) returns (x_new, extra); each fresh image
-    both checks x (||x_new - x||_F <= eps_scf) and gives the next step's
+    both checks x (||x_new - x||_F <= EPS_SCF) and gives the next step's
     residual. Returns (x_new, extra, residual history), or raises
     ConvergenceError(what(history), history)."""
     residuals: list[float] = []
@@ -176,12 +204,12 @@ def _anderson(image, x, cfg: ScfConfig, cap: int, what):
         x_new, extra = image(x)
         f = x_new - x
         residuals.append(float(np.linalg.norm(f)))
-        if residuals[-1] <= cfg.eps_scf:
+        if residuals[-1] <= EPS_SCF:
             return x_new, extra, residuals
         if last is not None:
             diffs.append((x - last[0], f - last[1]))
         last = (x, f)
-        x = _anderson_step(x, f, diffs, cfg.c_mix)
+        x = _anderson_step(x, f, diffs)
     raise ConvergenceError(what(residuals), residuals)
 
 
@@ -194,51 +222,47 @@ def scf_ground_state(
 ) -> ScfState:
     """Self-consistent ground state of H_eff = H_core + G(D).
 
-    Each sweep builds D_new from H_eff(D); Anderson mixing over the last
-    ANDERSON_DEPTH sweeps picks the next D, from D = 0. Converged when the
-    residual ||D_new - D||_F falls to eps_scf; the state is then the one that
-    sweep built at the converged D. Raises ConvergenceError with the residual
-    history when cfg.max_iters sweeps do not get there.
+    Each sweep checks that H_eff(D) is finite (ValueError naming the kernel
+    and the sweep otherwise) and builds the inner ground state of its
+    orthonormal-basis form; D_new is that state's D0 taken back through Z.
+    Anderson mixing over the last ANDERSON_DEPTH sweeps picks the next D,
+    from D = 0. Converged when the residual ||D_new - D||_F falls to
+    EPS_SCF; the state is then the one that sweep built at the converged D.
+    Raises ConvergenceError with the residual history when MAX_ITERS sweeps
+    do not get there.
     """
     z = inverse_sqrt_factor(s) if s is not None else np.eye(h_core.shape[0])
+    # spectral projection at zero temperature, Fermi smearing otherwise
+    if cfg.beta_t is None:
+
+        def inner(h):
+            return Sp2GroundState(h, *sp2_ground_state(h, n_occ))
+
+    else:
+
+        def inner(h):
+            return _fermi_eigenbasis(h, cfg.beta_t, float(n_occ))
+
+    sweeps = count(1)
 
     def sweep(d):
         h_eff = symmetrize(h_core + apply_kernel(kernel, d))
-        h_perp = congruence_transform(h_eff, z, "to_orthogonal")
-        # spectral projection at zero temperature, Fermi smearing otherwise
-        if cfg.beta_t is None:
-            d_perp, trace = sp2_ground_state(h_perp, n_occ)
-            eig_perp = mu0 = None
-        else:
-            d_perp, eig_perp, mu0 = _fermi_eigenbasis(h_perp, cfg.beta_t, float(n_occ))
-            trace = None
-        d_new = congruence_transform(d_perp, z, "density_from_orthogonal")
-        return d_new, (h_eff, h_perp, d_perp, trace, eig_perp, mu0)
+        k = next(sweeps)
+        if not np.all(np.isfinite(h_eff)):
+            raise ValueError(
+                f"kernel {getattr(kernel, 'name', kernel)!r} made H_eff = H_core + G(D) "
+                f"non-finite in SCF sweep {k}"
+            )
+        ground = inner(congruence_transform(h_eff, z, "to_orthogonal"))
+        return congruence_transform(ground.d0, z, "density_from_orthogonal"), (h_eff, ground)
 
     def what(r):
-        return f"SCF did not converge in {cfg.max_iters} iterations (last residual {r[-1]:.3e})"
+        return f"SCF did not converge in {MAX_ITERS} iterations (last residual {r[-1]:.3e})"
 
-    d0, last_sweep, residuals = _anderson(sweep, np.zeros_like(h_core), cfg, cfg.max_iters, what)
+    d0, (h_eff, ground), residuals = _anderson(sweep, np.zeros_like(h_core), MAX_ITERS, what)
     # The last sweep is the consistent final state: H_eff at the converged
-    # density and the density it builds.
-    h_eff, h_perp, d_perp, trace, eig_perp, mu0 = last_sweep
-    if cfg.beta_t is None:
-        eig = sym_eigendecompose(h_perp)
-        mu0 = 0.5 * (float(eig.values[n_occ - 1]) + float(eig.values[n_occ]))
-    return ScfState(
-        z=z,
-        kernel=kernel,
-        n_occ=n_occ,
-        cfg=cfg,
-        d0=d0,
-        h_eff=h_eff,
-        h0_perp=h_perp,
-        d0_perp=d_perp,
-        mu0=mu0,
-        sp2_trace=trace,
-        eig_perp=eig_perp,
-        residuals=tuple(residuals),
-    )
+    # density and the inner ground state it builds.
+    return ScfState(z, kernel, d0, h_eff, ground, tuple(residuals))
 
 
 @dataclass(frozen=True)
@@ -248,7 +272,7 @@ class ScfResponse:
 
     residuals holds the fresh-image residual ||L(seed + G(y)) - y||_F of each
     iterate y, the result's last. applications counts the derivative
-    applications L(.), the quantity ScfConfig.max_iters caps: the start
+    applications L(.), the quantity MAX_ITERS caps: the start
     L(seed) and one per fresh image, so len(residuals) + 1.
     """
 
@@ -262,40 +286,24 @@ def scf_response(state: ScfState, seed: np.ndarray) -> ScfResponse:
     response when the seed is a Hamiltonian perturbation, the susceptibility
     when it is an observable.
 
-    With L the derivative of the frozen ground state (the SP2 expansion at
-    zero temperature, the trace-neutral Fermi derivative otherwise, each
-    between the congruences with Z), the response is the fixed point
-    y = L(seed + G(y)), reached from y = L(seed) by the ground state's
-    Anderson mixer. The fresh image is returned once it lies within eps_scf
-    of y. Raises ConvergenceError with the residual history when max_iters
-    applications do not get there. The state's cfg supplies c_mix, eps_scf,
-    max_iters and the temperature.
-
-    At zero temperature the solve first replays state.sp2_trace once,
-    storing its iterates (an sp2.Sp2Expansion), so each application is one
-    pair update per step over the stored ground state, with no square. The
-    solve holds those m_steps * N^2 floats until it returns: about 2.2 MB
-    at n = 100 and 256 MB at N = 1000 (m_steps = 28 and 32).
+    With L(x) = Z inner.forward(Z^T x Z) Z^T the derivative of the frozen
+    inner ground state between the congruences with Z, the response is the
+    fixed point y = L(seed + G(y)), reached from y = L(seed) by the ground
+    state's Anderson mixer. The fresh image is returned once it lies within
+    EPS_SCF of y. Raises ConvergenceError with the residual history when
+    MAX_ITERS applications do not get there.
     """
-    cfg = state.cfg
     if seed.shape != state.d0.shape:
         raise ValueError(f"dimension mismatch: {seed.shape} vs {state.d0.shape}")
     z = state.z
-    beta_t = cfg.beta_t
-    if beta_t is None:
-        _, _, expansion = _expand(state.h0_perp, state.n_occ, replay=state.sp2_trace, store=True)
 
     def derivative(x):
-        x_perp = congruence_transform(x, z, "to_orthogonal")
-        if beta_t is None:
-            y_perp = expansion.forward(x_perp)
-        else:
-            y_perp, _ = trace_neutral_derivative(state.eig_perp, x_perp, beta_t, state.mu0)
+        y_perp = state.inner.forward(congruence_transform(x, z, "to_orthogonal"))
         return congruence_transform(y_perp, z, "density_from_orthogonal")
 
     def what(r):
         return (
-            f"coupled-perturbed solve did not converge in {cfg.max_iters} derivative "
+            f"coupled-perturbed solve did not converge in {MAX_ITERS} derivative "
             f"applications (residual history {len(r)} long"
             + (f", last {r[-1]:.3e})" if r else ")")
         )
@@ -303,7 +311,7 @@ def scf_response(state: ScfState, seed: np.ndarray) -> ScfResponse:
     def image(y):
         return derivative(seed + apply_kernel(state.kernel, y)), None
 
-    y, _, residuals = _anderson(image, derivative(seed), cfg, cfg.max_iters - 1, what)
+    y, _, residuals = _anderson(image, derivative(seed), MAX_ITERS - 1, what)
     return ScfResponse(y, tuple(residuals), len(residuals) + 1)
 
 

@@ -6,6 +6,11 @@ matrix function along a direction is the eigenbasis Hadamard product with the
 divided-difference (Loewner) matrix; the chemical-potential response mu1 is
 solved in closed form so that every susceptibility is exactly trace neutral.
 
+One diagonalization serves every response about a density: the frozen
+`FermiGroundState` holds D0, the eigenbasis, mu0 and beta_t, and
+differentiates D0 along any seed. It is also the inner ground state of the
+finite-temperature self-consistent route (see `scf`).
+
 This route requires a diagonalization, so it does not scale to large sparse
 problems; at desk scale it doubles as the oracle for the recursive zero-T
 expansions.
@@ -14,6 +19,7 @@ expansions.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -80,17 +86,36 @@ def fermi_matrix_and_mu(h: np.ndarray, beta_t: float, n_occ: float):
 
     Returns (d, mu0); d is symmetric with eigenvalues in (0, 1).
     """
-    d, _, mu0 = _fermi_eigenbasis(h, beta_t, n_occ)
-    return d, mu0
+    ground = _fermi_eigenbasis(h, beta_t, n_occ)
+    return ground.d0, ground.mu0
 
 
-def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float):
+@dataclass(frozen=True)
+class FermiGroundState:
+    """Fermi-smeared density matrix D0 of h at fixed occupation, frozen with
+    the eigenbasis of h, the chemical potential mu0 and the inverse
+    temperature beta_t that every response about D0 is differentiated
+    from."""
+
+    d0: np.ndarray
+    eig: EigenDecomposition
+    mu0: float
+    beta_t: float
+
+    def derivative(self, seed: np.ndarray):
+        """Trace-neutral derivative of D0 along a Hamiltonian perturbation
+        or an observable, with its chemical-potential response: (d1, mu1)
+        (see :func:`trace_neutral_derivative`)."""
+        return trace_neutral_derivative(self.eig, seed, self.beta_t, self.mu0)
+
+    def forward(self, seed: np.ndarray) -> np.ndarray:
+        """The derivative alone, without mu1."""
+        return self.derivative(seed)[0]
+
+
+def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float) -> FermiGroundState:
     """Eigendecompose h, bisect mu0 so that Tr[D] = n_occ, and build the
-    Fermi-smeared D in that eigenbasis.
-
-    Returns (d, eig, mu0); the eigenbasis and mu0 are what every response
-    about this D is differentiated from.
-    """
+    Fermi-smeared D in that eigenbasis, frozen as a FermiGroundState."""
     if not 0.0 < beta_t < math.inf:
         raise ValueError(f"inverse temperature beta_t must be finite and positive, got {beta_t}")
     n = h.shape[0]
@@ -100,7 +125,7 @@ def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float):
     mu0 = _solve_mu(eig.values, beta_t, n_occ)
     occ = fermi_function(eig.values, beta_t, mu0)
     d = (eig.vectors * occ) @ eig.vectors.T
-    return symmetrize(d), eig, mu0
+    return FermiGroundState(symmetrize(d), eig, mu0, beta_t)
 
 
 def loewner_matrix(values: np.ndarray, f: Callable, fprime: Callable) -> np.ndarray:
@@ -168,8 +193,7 @@ def canonical_susceptibility(h: np.ndarray, a: np.ndarray, beta_t: float, n_occ:
 
     Returns (chi, mu1).
     """
-    _, eig, mu0 = _fermi_eigenbasis(h, beta_t, n_occ)
-    return trace_neutral_derivative(eig, a, beta_t, mu0)
+    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(a)
 
 
 def canonical_dm_response(h: np.ndarray, h1: np.ndarray, beta_t: float, n_occ: float):
@@ -178,5 +202,4 @@ def canonical_dm_response(h: np.ndarray, h1: np.ndarray, beta_t: float, n_occ: f
 
     Returns (d1, mu1).
     """
-    _, eig, mu0 = _fermi_eigenbasis(h, beta_t, n_occ)
-    return trace_neutral_derivative(eig, h1, beta_t, mu0)
+    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(h1)

@@ -192,7 +192,7 @@ def test_criterion_05_self_consistent_duality():
     h_core = gapped_random_hamiltonian(n, 1.2, n_occ, seed=9401)
     a = random_symmetric(rng, n)
     h1 = random_symmetric(rng, n)
-    cfg = ScfConfig(c_mix=0.3, eps_scf=1e-11, max_iters=500)
+    cfg = ScfConfig()
     kernels = {
         "hubbard": DiagonalHubbardKernel(0.1),
         "bilinear": BilinearKernel(

@@ -264,26 +264,42 @@ class TestRespond:
             ["--kind", "overlap_chain", "--size", "40"],
             ["--kind", "chain", "--size", "200", "--tau", "1e-6"],
             ["--kind", "gapped_random", "--size", "30", "--kernel", "hubbard:1"],
+            ["--kind", "gapped_random", "--size", "30", "--kernel", "hubbard:1", "--beta-t", "20"],
+            ["--kind", "gapped_random", "--size", "30", "--beta-t", "20"],
+            ["--kind", "gapped_random", "--size", "64", "--gap", "1.6", "--precision", "f32"],
+            ["--kind", "gapped_random", "--size", "64", "--gap", "1.6", "--precision", "split16"],
         ],
-        ids=["dense", "dense_orthogonalized", "sparse", "scf"],
+        ids=["dense", "dense_orthogonalized", "sparse", "scf", "scf_finite_t", "thermal", "f32", "split16"],
     )
     def test_mode_both_values_equal_separate_modes(self, tmp_path, flags):
         # --mode both serves its forward seeds from the backward route's
-        # stored expansion; each value must equal that of its mode run alone
+        # stored expansion where there is one; each value, and each entry
+        # that belongs to it, must equal that of its mode run alone
         modes = {
             "a1_direct": "perturb",
             "a1_dual_forward": "suscept-fwd",
             "a1_dual_backward": "suscept-bwd",
         }
+        per_value = ("response_iterations", "f64_reference", "relative_error_vs_f64")
         _, both = run_cli(["respond", *flags, "--mode", "both"], tmp_path, "both.json")
         results = both["results"]
-        assert len(results["values"]) == (2 if "--kernel" in flags else 3)
+        assert len(results["values"]) == (3 if results["route"] in cli.BACKWARD else 2)
         for key, value in results["values"].items():
             argv = ["respond", *flags, "--mode", modes[key]]
             _, alone = run_cli(argv, tmp_path, f"{key}.json")
+            assert alone["error"] is None
             assert alone["results"]["values"] == {key: value}
-            assert alone["results"]["a0"] == results["a0"]
-            assert alone["results"]["expansion"] == results["expansion"]
+            for section in per_value:
+                if section in results:
+                    entries = {k: v for k, v in results[section].items() if k.removesuffix("_f64") == key}
+                    assert entries and alone["results"][section] == entries
+            for section in ("a0", "expansion"):
+                if section in results:
+                    assert alone["results"][section] == results[section]
+            if "mu1" in results:
+                # the chemical-potential response to H1, which only perturb solves for
+                assert results["mu1"] is not None
+                assert alone["results"]["mu1"] == (results["mu1"] if key == "a1_direct" else None)
 
     @pytest.mark.parametrize(
         "mode, stored",
@@ -302,6 +318,20 @@ class TestRespond:
         argv = ["respond", "--kind", "gapped_random", "--size", "20", "--mode", mode]
         code, _ = run_cli(argv, tmp_path)
         assert code == 0 and runs == stored
+
+    # the overflowing kernel product is the point of the test
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("temperature", [[], ["--beta-t", "20"]], ids=["zero_t", "finite_t"])
+    def test_nonfinite_h_eff_names_kernel_and_sweep(self, tmp_path, temperature):
+        # G(D) overflows in the second sweep, once D is nonzero; the error
+        # must name the kernel and the sweep, not an inner route's symptom
+        argv = ["respond", "--kind", "gapped_random", "--size", "8", "--kernel", "bilinear:1e200"]
+        code, rep = run_cli([*argv, *temperature, "--mode", "both"], tmp_path)
+        assert code == 1
+        assert rep["error"]["type"] == "ValueError"
+        assert "kernel 'bilinear'" in rep["error"]["message"]
+        assert "SCF sweep 2" in rep["error"]["message"]
 
     def test_determinism_modulo_timing(self, tmp_path):
         args = [

@@ -1,9 +1,7 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from dmresponse import scf
+from dmresponse import scf, thermal
 from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import trace_product
 from dmresponse.models import gapped_random_hamiltonian, overlap_chain_matrices
@@ -21,6 +19,7 @@ from dmresponse.scf import (
     scf_susceptibility,
 )
 from dmresponse.sp2 import Sp2Expansion, sp2_ground_state
+from dmresponse.thermal import FermiGroundState
 
 from conftest import random_symmetric
 
@@ -83,11 +82,12 @@ class TestScfGroundState:
         np.testing.assert_allclose(state.d0, d_ref, atol=1e-12)
         np.testing.assert_allclose(state.h_eff, h, atol=0)
 
-    def test_hubbard_fixed_point(self):
+    def test_hubbard_fixed_point(self, monkeypatch):
         n, n_occ = 10, 5
         h = gapped_random_hamiltonian(n, 1.0, n_occ, seed=82)
-        cfg = ScfConfig(c_mix=0.3, eps_scf=1e-10, max_iters=200)
-        state = scf_ground_state(h, np.eye(n), hubbard(0.1), n_occ, cfg)
+        monkeypatch.setattr(scf, "EPS_SCF", 1e-10)
+        monkeypatch.setattr(scf, "MAX_ITERS", 200)
+        state = scf_ground_state(h, np.eye(n), hubbard(0.1), n_occ)
         assert state.residuals[-1] <= 1e-10
         # re-substitution: one more solve at the converged density moves nothing
         h_eff = h + apply_kernel(hubbard(0.1), state.d0)
@@ -114,14 +114,16 @@ class TestScfGroundState:
         cfg = ScfConfig(beta_t=25.0)
         state = scf_ground_state(h, np.eye(n), hubbard(0.1), n_occ, cfg)
         assert abs(np.trace(state.d0 @ np.eye(n)) - n_occ) <= 1e-9
-        assert state.eig_perp is not None and state.sp2_trace is None
+        assert isinstance(state.inner, FermiGroundState) and state.inner.beta_t == 25.0
 
-    def test_nonconvergence_carries_history(self):
+    def test_nonconvergence_carries_history(self, monkeypatch):
         n, n_occ = 6, 3
         h = gapped_random_hamiltonian(n, 1.0, n_occ, seed=84)
-        cfg = ScfConfig(c_mix=1.0, eps_scf=1e-15, max_iters=3)
+        monkeypatch.setattr(scf, "C_MIX", 1.0)
+        monkeypatch.setattr(scf, "EPS_SCF", 1e-15)
+        monkeypatch.setattr(scf, "MAX_ITERS", 3)
         with pytest.raises(ConvergenceError) as exc:
-            scf_ground_state(h, None, hubbard(0.5), n_occ, cfg)
+            scf_ground_state(h, None, hubbard(0.5), n_occ)
         assert len(exc.value.history) == 3
 
 
@@ -175,17 +177,18 @@ class TestScfResponse:
         dual = trace_product(chi, h1)
         assert abs(direct - dual) <= 1e-9 * max(abs(direct), 1e-12)
 
-    def test_matches_full_scf_finite_difference(self, rng):
+    def test_matches_full_scf_finite_difference(self, rng, monkeypatch):
         n, n_occ = 12, 6
         h = gapped_random_hamiltonian(n, 1.2, n_occ, seed=90)
         h1 = random_symmetric(rng, n)
         kernel = hubbard(0.1)
-        cfg = ScfConfig(eps_scf=1e-12, max_iters=800)
-        state = scf_ground_state(h, None, kernel, n_occ, cfg)
+        monkeypatch.setattr(scf, "EPS_SCF", 1e-12)
+        monkeypatch.setattr(scf, "MAX_ITERS", 800)
+        state = scf_ground_state(h, None, kernel, n_occ)
         d1 = scf_dm_response(state, h1)
         step = 1e-4
-        d_plus = scf_ground_state(h + step * h1, None, kernel, n_occ, cfg).d0
-        d_minus = scf_ground_state(h - step * h1, None, kernel, n_occ, cfg).d0
+        d_plus = scf_ground_state(h + step * h1, None, kernel, n_occ).d0
+        d_minus = scf_ground_state(h - step * h1, None, kernel, n_occ).d0
         fd = (d_plus - d_minus) / (2 * step)
         assert np.linalg.norm(d1 - fd) <= 1e-5
 
@@ -219,15 +222,9 @@ class TestScfResponse:
 
 
 def test_scf_config_validation():
-    with pytest.raises(ValueError):
-        ScfConfig(c_mix=0.0)
-    with pytest.raises(ValueError):
-        ScfConfig(eps_scf=-1.0)
     for beta_t in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             ScfConfig(beta_t=beta_t)
-    with pytest.raises(ValueError):
-        ScfConfig(max_iters=0)
 
 
 def gapped_case(rng, n, seed):
@@ -253,7 +250,7 @@ class TestKrylovAndAnderson:
         h, a, h1 = gapped_case(rng, n, 89)
         kernel = hubbard(3.0) if kernel_kind == "hubbard" else bilinear(rng, n, scale=0.4)
         state = scf_ground_state(h, None, kernel, n // 2)
-        assert state.residuals[-1] <= ScfConfig().eps_scf
+        assert state.residuals[-1] <= scf.EPS_SCF
         assert relative_duality(state, a, h1) <= 1e-9
 
     def test_iteration_counts(self, rng):
@@ -264,7 +261,7 @@ class TestKrylovAndAnderson:
         for seed in (h1, a):
             res = scf_response(state, seed)
             assert res.applications <= 20
-            assert res.residuals[-1] <= ScfConfig().eps_scf
+            assert res.residuals[-1] <= scf.EPS_SCF
 
     def test_wrappers_return_the_shared_solve(self, rng):
         n = 12
@@ -295,15 +292,16 @@ class TestKrylovAndAnderson:
         d1 = scf_dm_response(state, h1)
         assert np.linalg.norm(d1 - y) <= 1e-9 * np.linalg.norm(y)
 
-    def test_application_cap_carries_history(self, rng):
+    def test_application_cap_carries_history(self, rng, monkeypatch):
         n = 12
         h, _, h1 = gapped_case(rng, n, 95)
         state = scf_ground_state(h, None, hubbard(1.0), n // 2)
+        monkeypatch.setattr(scf, "MAX_ITERS", 2)
         with pytest.raises(ConvergenceError) as exc:
-            scf_response(replace(state, cfg=replace(state.cfg, max_iters=2)), h1)
+            scf_response(state, h1)
         # L(seed), then its fresh image: one residual, far from converged
         assert len(exc.value.history) == 1
-        assert exc.value.history[0] > ScfConfig().eps_scf
+        assert exc.value.history[0] > scf.EPS_SCF
 
     @pytest.mark.parametrize("beta_t", [None, 20.0])
     def test_applications_count_every_derivative_call(self, rng, monkeypatch, beta_t):
@@ -312,7 +310,7 @@ class TestKrylovAndAnderson:
         n = 12
         h, _, h1 = gapped_case(rng, n, 97)
         state = scf_ground_state(h, None, hubbard(1.0), n // 2, ScfConfig(beta_t=beta_t))
-        owner, name = (Sp2Expansion, "forward") if beta_t is None else (scf, "trace_neutral_derivative")
+        owner, name = (Sp2Expansion, "forward") if beta_t is None else (thermal, "trace_neutral_derivative")
         real = getattr(owner, name)
         calls = []
 
@@ -325,7 +323,7 @@ class TestKrylovAndAnderson:
         assert len(calls) == res.applications
         # the start L(seed), then one fresh image per residual
         assert len(res.residuals) == res.applications - 1
-        assert res.residuals[-1] <= ScfConfig().eps_scf
+        assert res.residuals[-1] <= scf.EPS_SCF
 
     def test_stored_expansion_reproduces_replayed_applications(self, rng, monkeypatch):
         # each zero-temperature application runs over one stored expansion;
@@ -336,15 +334,43 @@ class TestKrylovAndAnderson:
         stored = scf_response(state, h1)
 
         def replayed(self, seed):
-            return dm_perturbation_forward(
-                state.h0_perp, seed, state.n_occ, trace=state.sp2_trace
-            )[1]
+            trace = state.inner.trace
+            return dm_perturbation_forward(state.inner.h, seed, trace.n_occ, trace=trace)[1]
 
         monkeypatch.setattr(Sp2Expansion, "forward", replayed)
         replay = scf_response(state, h1)
         assert stored.response.tobytes() == replay.response.tobytes()
         assert stored.residuals == replay.residuals
         assert stored.applications == replay.applications
+
+    def test_one_stored_expansion_per_state(self, rng, monkeypatch):
+        # the zero-temperature inner ground state stores its expansion on the
+        # first derivative application, for every solve over the state, and
+        # diagonalizes only when mu0 is read
+        n = 12
+        h, a, h1 = gapped_case(rng, n, 98)
+        stored, eigs = [], []
+        real_expand, real_eig = scf._expand, scf.sym_eigendecompose
+
+        def expand_spy(*args, store=False, **kwargs):
+            stored.append(store)
+            return real_expand(*args, store=store, **kwargs)
+
+        def eig_spy(x):
+            eigs.append(x)
+            return real_eig(x)
+
+        monkeypatch.setattr(scf, "_expand", expand_spy)
+        monkeypatch.setattr(scf, "sym_eigendecompose", eig_spy)
+        state = scf_ground_state(h, None, hubbard(1.0), n // 2)
+        assert eigs == []
+        scf_dm_response(state, h1)
+        scf_susceptibility(state, a)
+        assert stored.count(True) == 1
+        mu0 = state.inner.mu0
+        assert state.inner.mu0 == mu0 and len(eigs) == 1
+        values = np.linalg.eigvalsh(state.inner.h)
+        assert values[n // 2 - 1] < mu0 < values[n // 2]
 
     @pytest.mark.parametrize("basis", ["finite_temperature", "overlap"])
     def test_duality_through_new_solvers(self, rng, basis):
