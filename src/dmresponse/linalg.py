@@ -4,8 +4,10 @@ Storage is plain float64 ``numpy`` arrays kept logically symmetric. The one
 eigensolver is LAPACK's symmetric ``eigh``: deterministic for a given input,
 and its eigenvectors are orthonormal to near machine precision
 (||V^T V - I||_F about 3e-14 at n = 200), which every eigenbasis-based check
-in the test suite leans on. `gershgorin_bounds` also takes CSR storage, so
-the dense and sparse SP2 kernels share one spectral bound.
+in the test suite leans on. `gershgorin_bounds` also takes CSR storage: it
+is the sparse SP2 kernel's spectral bound, and the interval the dense
+kernels narrow with the values-only form of the same solver (``eigvalsh``,
+see `sp2._DenseOps.bounds`).
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ class Sp2GroundState:
 
     `forward(seed)` differentiates the frozen expansion. The first call
     replays the trace once, storing its iterates (an sp2.Sp2Expansion: m_steps
-    * N^2 floats, about 2.2 MB at n = 100 and 256 MB at N = 1000), and every
+    * N^2 floats, about 1.4 MB at n = 100 and 144 MB at N = 1000), and every
     call, of every response solve over this state, is one pair update per
     step over them, with no square. mu0, the HOMO-LUMO midpoint, costs an
     eigendecomposition of h, run only when it is read.
@@ -246,7 +246,9 @@ def scf_ground_state(
     sweeps = count(1)
 
     def sweep(d):
-        h_eff = symmetrize(h_core + apply_kernel(kernel, d))
+        # an overflowing G(D) is reported below, by name, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            h_eff = symmetrize(h_core + apply_kernel(kernel, d))
         k = next(sweeps)
         if not np.all(np.isfinite(h_eff)):
             raise ValueError(

@@ -9,8 +9,9 @@ each multiply-add, and that drop keeps the pattern symmetric. The SP2 entry
 point checks once that its sparse inputs are exactly symmetric, and
 `SparseMatrix` accepts only a finite, non-negative tau. `threshold` is the
 one drop rule: `sparsify` applies it to dense input, which must be finite
-and exactly symmetric. Spectral bounds come from `linalg.gershgorin_bounds`,
-which takes the CSR array directly.
+and exactly symmetric. The sparse SP2 kernel bounds the spectrum by
+`linalg.gershgorin_bounds`, which takes the CSR array directly and needs no
+eigensolve.
 
 The arithmetic kernel is scipy's CSR matrix product, which is deterministic
 (fixed row order, fixed reduction order) so repeated runs are bit-identical.

@@ -319,9 +319,9 @@ class TestRespond:
         code, _ = run_cli(argv, tmp_path)
         assert code == 0 and runs == stored
 
-    # the overflowing kernel product is the point of the test
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    # the overflowing kernel product is the point of the test; it must raise
+    # the named error alone, with no numpy warning before it
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("temperature", [[], ["--beta-t", "20"]], ids=["zero_t", "finite_t"])
     def test_nonfinite_h_eff_names_kernel_and_sweep(self, tmp_path, temperature):
         # G(D) overflows in the second sweep, once D is nonzero; the error

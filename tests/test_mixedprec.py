@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from dmresponse import mixedprec, sp2
 from dmresponse.exceptions import ConvergenceError
-from dmresponse.linalg import gershgorin_bounds, trace_product
+from dmresponse.linalg import trace_product
 from dmresponse.mixedprec import (
     BINARY16_MAX,
     _round16,
@@ -324,7 +324,7 @@ def _reference_pipeline(h0, seed, n_occ, use_split):
         return q + q.T
 
     n = h0.shape[0]
-    bounds = gershgorin_bounds(h0)
+    bounds = sp2._DenseOps(h0).bounds(h0)
     alpha, beta = bounds.eps_max / bounds.width, -1.0 / bounds.width
     x = (alpha * np.eye(n) + beta * h0).astype(np.float32)
     y = (beta * seed).astype(np.float32)
@@ -377,14 +377,14 @@ class TestPipelinesMatchFloat16Reference:
 
 
 # SHA-256 of (d0, response, sigmas, idempotency log, mult_count) on a fixed
-# n = 32 problem, recorded before `SplitMatrix` became a plain pair and the
-# product counter an int on the kernel (numpy 2.4, OpenBLAS on x86-64; a
-# BLAS that orders its float32 sums differently gives other digests)
+# n = 32 problem, recorded after the dense kernels' spectral bound became the
+# padded extreme eigenvalues (numpy 2.4, OpenBLAS on x86-64; a BLAS that
+# orders its float32 sums differently gives other digests)
 GOLDEN_N32 = {
-    ("f32", True): "1758edf1e227099b660c5bd9f1c2fa210c8a7d829ab3b86de2fe9be11b65cfef",
-    ("f32", False): "3c049ec4ccc344ed910fdd2defcaaa75df21c358a623b20b5df2b3ec59290f85",
-    ("split16", True): "046c7a8b04f89683498396ef9a86cf47c6f80038ea704f003a629e277f0816b4",
-    ("split16", False): "1bfa07620f398ac7fc4304f490b06348d63494dae24d76ec9d72646f9dbe3e1b",
+    ("f32", True): "47014910671d0376d8d2cb00e3bb9851979bc53c2deed78637f6448ed151a8e7",
+    ("f32", False): "27e3a74aefbb797e8ea6aa3a4c5582a0cb694886950d4e460438a882f91af1f0",
+    ("split16", True): "ba24e71626d2ab9df54380f25365ed4998a9524587cc44ba7a98bd996f613658",
+    ("split16", False): "8f8060d5bb8b212eccca9765f266b08bf8a0b557df675b807b6e84bb9d3169a6",
 }
 
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmresponse.mixedprec import BINARY16_MAX, _round_array16
+from dmresponse.sp2 import EIGEN_BOUND_PAD, _DenseOps
 from dmresponse.oracles import binary16_reference_bits
 from dmresponse.sparse import sparsify
 from dmresponse.linalg import gershgorin_bounds, sym_eigendecompose, symmetrize
@@ -41,7 +42,13 @@ def test_sparsify_round_trip_and_threshold(n, seed):
 def test_gershgorin_always_encloses_spectrum(n, seed):
     rng = np.random.default_rng(seed)
     x = symmetrize(rng.standard_normal((n, n)))
-    b = gershgorin_bounds(x)
+    disc = gershgorin_bounds(x)
+    dense = _DenseOps(x).bounds(x)
     vals = sym_eigendecompose(x).values
-    assert b.eps_min <= vals[0] + 1e-12
-    assert vals[-1] <= b.eps_max + 1e-12
+    for b in (disc, dense):
+        assert b.eps_min <= vals[0] + 1e-12
+        assert vals[-1] <= b.eps_max + 1e-12
+    # the dense kernel's bound is Gershgorin's narrowed to the padded extremes
+    assert disc.eps_min <= dense.eps_min and dense.eps_max <= disc.eps_max
+    spread = vals[-1] - vals[0]
+    assert dense.width <= (1 + 2 * EIGEN_BOUND_PAD) * spread + 1e-12 * np.max(np.abs(vals))

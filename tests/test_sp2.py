@@ -109,7 +109,7 @@ class TestGroundState:
     @pytest.mark.parametrize("n", [2, 3])
     def test_overflowing_bounds_rejected_before_any_product(self, monkeypatch, storage, n):
         # finite entries whose Gershgorin width (n = 2) or disc radius (n = 3)
-        # overflows float64
+        # overflows float64; the dense kernel must not run its eigensolve
         h0 = np.full((n, n), 1e308)
         np.fill_diagonal(h0, 1.0)
         if storage == "sparse":
@@ -118,21 +118,38 @@ class TestGroundState:
         def square(self, x):
             raise AssertionError("a product was formed")
 
+        def eigvalsh(x):
+            raise AssertionError("an eigensolve ran")
+
         monkeypatch.setattr(sp2._DenseOps, "square", square)
         monkeypatch.setattr(sp2._SparseOps, "square", square)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         with pytest.raises(ValueError, match=r"^spectral bounds \[.*\] have width (inf|nan)"):
             sp2_ground_state(h0, 1)
 
+    def test_dense_bound_hugs_the_spectrum(self):
+        # Gershgorin's interval, [-16.4, 16.3] against the spectrum's
+        # [-2.0, 2.0], took 28 steps here
+        _, tr = sp2_ground_state(gapped_random_hamiltonian(200, 1.0, 100, seed=0), 100)
+        assert tr.bounds.eps_min >= -2.1 and tr.bounds.eps_max <= 2.1
+        assert tr.m_steps <= 20
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
     @given(st.data(), st.integers(min_value=2, max_value=40), st.integers(0, 2**31))
     @settings(max_examples=40, deadline=None)
-    def test_converges_at_any_occupation_of_a_gap(self, data, n, seed):
+    def test_converges_at_any_occupation_of_a_gap(self, storage, data, n, seed):
         # the stall rule must not stop a run whose error still rises while the
-        # spectrum is sorted into its bands: with Gershgorin bounds far wider
-        # than the spectrum [-2, 2] and the gap away from half filling, the
-        # error rises three steps in a row long before the noise floor
+        # spectrum is sorted into its bands: with bounds far wider than the
+        # spectrum [-2, 2] and the gap away from half filling, the error
+        # rises three steps in a row long before the noise floor. The sparse
+        # kernel's Gershgorin bounds are that wide; the dense kernel's hug
+        # the spectrum, which the same rule must not stop early either.
         n_occ = data.draw(st.integers(min_value=1, max_value=n - 1))
         gap = data.draw(st.floats(min_value=4e-3, max_value=3.9))  # >= 1e-3 of the width
-        d0, _ = sp2_ground_state(gapped_random_hamiltonian(n, gap, n_occ, seed), n_occ)
+        h = gapped_random_hamiltonian(n, gap, n_occ, seed)
+        d0, _ = sp2_ground_state(h if storage == "dense" else sparsify(h, 0.0), n_occ)
+        if storage == "sparse":
+            d0 = d0.to_dense()
         assert abs(np.trace(d0) - n_occ) <= 1e-8
         assert np.linalg.norm(d0 @ d0 - d0) <= 1e-7
 
