@@ -153,6 +153,32 @@ class TestGroundState:
         assert abs(np.trace(d0) - n_occ) <= 1e-8
         assert np.linalg.norm(d0 @ d0 - d0) <= 1e-7
 
+    def test_asymmetric_inputs_rejected(self):
+        # the pair update takes XY as (YX)^T, so an operand one ulp away from
+        # symmetric would silently give the response of another seed
+        n = 40
+        h = chain_hamiltonian(n, 1.0)
+        asym = h.copy()
+        asym[0, 1] = asym[0, 1] * (1.0 + 1e-15)
+        with pytest.raises(ValueError, match="^h0 is not exactly symmetric"):
+            sp2_ground_state(asym, n // 2)
+        with pytest.raises(ValueError, match="^seed is not exactly symmetric"):
+            dm_perturbation_forward(h, asym, n // 2)
+        with pytest.raises(ValueError, match="^a is not exactly symmetric"):
+            susceptibility_backward(h, asym, n // 2)
+        _, _, expansion = susceptibility_backward(h, h, n // 2)
+        with pytest.raises(ValueError, match="^seed is not exactly symmetric"):
+            susceptibility_forward(h, asym, n // 2, trace=expansion)
+        # the low-precision kernels share the dense kernel's checks
+        with pytest.raises(ValueError, match="^seed is not exactly symmetric"):
+            single_precision_pipeline(h, asym, n // 2)
+        # NaN != NaN, yet a symmetric h0 holding a NaN is refused for its
+        # spectral bounds, not for its symmetry
+        nan = h.copy()
+        nan[0, 0] = np.nan
+        with pytest.raises(ValueError, match="^spectral bounds"):
+            sp2_ground_state(nan, n // 2)
+
 
 class TestSparseGroundState:
     def test_chain_agrees_with_dense_observable(self, rng):
@@ -461,3 +487,75 @@ class TestEngineBoundary:
         single_precision_pipeline(h, m, 16)
         mixed_response_pipeline(h, m, 16)
         assert gated == []
+
+
+def _one_line_pair_update(sigma, y, x):
+    """The dense pair update as whole-matrix formulas, the tiled kernel's
+    bit-for-bit reference."""
+    p = y @ x
+    s = p + p.T
+    return sp2._DenseOps._flush(s if sigma == 1 else 2.0 * y - s)
+
+
+def _one_line_combine(sigma, x, x2):
+    return sp2._DenseOps._flush(x2.copy() if sigma == 1 else 2.0 * x - x2)
+
+
+class TestDenseTiles:
+    """The dense kernel's in-place tiled pair update and combination against
+    their whole-matrix formulas, bit for bit."""
+
+    SIZES = [1, 2, sp2._TILE - 1, sp2._TILE, sp2._TILE + 1, 2 * sp2._TILE + 3]
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_pair_update_and_combine_match_formulas(self, rng, n, sigma):
+        x, y = random_symmetric(rng, n), random_symmetric(rng, n)
+        x_in, y_in = x.copy(), y.copy()
+        ops = sp2._DenseOps(x)
+        got = ops.pair_update(sigma, y, x)
+        assert _bits(got) == _bits(_one_line_pair_update(sigma, y, x))
+        assert np.array_equal(got, got.T)
+        x2 = x @ x
+        want = _one_line_combine(sigma, x, x2)
+        assert _bits(ops.combine(sigma, x, x2)) == _bits(want)
+        assert _bits(x) == _bits(x_in) and _bits(y) == _bits(y_in)
+
+    @pytest.mark.parametrize("sigma", [1, -1])
+    def test_flush_in_an_off_diagonal_tile(self, rng, sigma):
+        # with a diagonal X, entry (i, j) of YX + XY is y_ij (x_i + x_j); a
+        # planted y_ij of 1e-151 leaves it, and 2 y_ij minus it, below the
+        # flush threshold but not zero
+        n = 2 * sp2._TILE + 3
+        i, j = 1, sp2._TILE + 5
+        x = np.diag(rng.uniform(0.5, 0.9, n))
+        y = random_symmetric(rng, n)
+        y[i, j] = y[j, i] = 1e-151
+        raw = y[i, j] * (x[i, i] + x[j, j])
+        if sigma == -1:
+            raw = 2.0 * y[i, j] - raw
+        assert 0.0 < abs(raw) < sp2.DENORMAL_FLUSH
+        got = sp2._DenseOps(x).pair_update(sigma, y, x)
+        assert _bits(got) == _bits(_one_line_pair_update(sigma, y, x))
+        assert got[i, j] == got[j, i] == 0.0
+        x2 = random_symmetric(rng, n)
+        x2[i, j] = x2[j, i] = 3e-151
+        x = random_symmetric(rng, n)
+        x[i, j] = x[j, i] = 1e-151
+        want = _one_line_combine(sigma, x, x2)
+        got = sp2._DenseOps(x).combine(sigma, x, x2)
+        assert _bits(got) == _bits(want)
+        assert got[i, j] == got[j, i] == 0.0
+
+    def test_seeds_leave_a_stored_expansion_unchanged(self, rng):
+        # the kernel works in place on its own product and on nothing else
+        n = 2 * sp2._TILE + 3
+        h = gapped_random_hamiltonian(n, 1.0, n // 2, seed=7)
+        seed, a = random_symmetric(rng, n), random_symmetric(rng, n)
+        _, _, expansion = sp2._expand(h, n // 2, store=True)
+        stored = [_bits(m) for m in (*expansion.iterates, expansion.d0)]
+        operands = [_bits(m) for m in (seed, a)]
+        expansion.forward(seed)
+        expansion.backward(a)
+        assert [_bits(m) for m in (*expansion.iterates, expansion.d0)] == stored
+        assert [_bits(m) for m in (seed, a)] == operands
