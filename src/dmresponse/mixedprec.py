@@ -127,12 +127,13 @@ class _F32Ops(_DenseOps):
 
     name = "low-precision expansion"
     stall_hint = "small gaps are often unresolvable at reduced precision"
-    # A stall is the float32 noise floor only at or below sqrt(N) times this
-    # (see `sp2._expand`). Over gapped random H at N <= 512, both kernels'
+    # No gate reads this; it caps the stall test alone: a stall is the
+    # float32 noise floor only at or below sqrt(N) times it (see
+    # `sp2._expand`). Over gapped random H at N <= 512, both kernels'
     # converged runs stalled below 1e-5 sqrt(N), while runs stopped before the
     # states next to the gap were sorted into their bands rose past
     # 1.3e-3 sqrt(N).
-    stall_tol = 1000 * float(np.finfo(np.float32).eps)
+    idempotency_tol = 1000 * float(np.finfo(np.float32).eps)
 
     def __init__(self, h0: np.ndarray):
         super().__init__(h0)
@@ -161,6 +162,8 @@ class _F32Ops(_DenseOps):
         return x2 if sigma == 1 else 2.0 * x - x2
 
     def pair_update(self, sigma: int, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # a backward sweep starts from the caller's observable, in any dtype
+        y = y.astype(np.float32, copy=False)
         pair = self._pair(y, x)
         return pair if sigma == 1 else 2.0 * y - pair
 

@@ -17,7 +17,10 @@ numbers converts every value: numpy parses a Python str with the grammar of
 `float()` (of `int()` for indices). The finiteness, range, triangle and
 duplicate checks are vectorized. Only when a bulk conversion or check fails
 does a per-line scan run, and its one job is to name the first bad line in
-file order. Writing formats one %-template per column of the matrix.
+file order.
+
+Writing is `scipy.io.mmwrite`'s: 17 significant digits in exponent form,
+under a banner and one empty comment line that the reader skips.
 """
 
 from __future__ import annotations
@@ -224,34 +227,15 @@ def read_matrix_market(path) -> np.ndarray | SparseMatrix:
 
 def write_matrix_market(path, m) -> None:
     """Write a dense ndarray (array format) or SparseMatrix (coordinate
-    format, lower triangle)."""
+    format, lower triangle) to exactly `path`."""
+    import scipy.io  # only writes pay for loading the writer
+
     if isinstance(m, SparseMatrix):
-        coo = m.csr.tocoo()
-        keep = coo.row >= coo.col
-        order = np.lexsort((coo.row[keep], coo.col[keep]))
-        cols = coo.col[keep][order]
-        fields = [None] * (3 * len(cols))
-        fields[0::3] = (coo.row[keep][order] + 1).tolist()
-        fields[1::3] = (cols + 1).tolist()
-        fields[2::3] = coo.data[keep][order].tolist()
-        # entries are sorted by column: ends[j] is the end of column j's run
-        ends = np.searchsorted(cols, np.arange(m.dim), side="right").tolist()
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{BANNER} matrix coordinate real symmetric\n")
-            fh.write(f"{m.dim} {m.dim} {len(cols)}\n")
-            start = 0
-            for end in ends:
-                fh.write(("%d %d %.17g\n" * (end - start)) % tuple(fields[3 * start : 3 * end]))
-                start = end
-        return
-    x = np.asarray(m, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    n = x.shape[0]
-    # one %-format per column; "%.17g" prints as f"{v:.17g}" does
-    column_lines = "%.17g\n" * n
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{BANNER} matrix array real general\n")
-        fh.write(f"{n} {n}\n")
-        for column in x.T:
-            fh.write(column_lines % tuple(column.tolist()))
+        m, symmetry = sp.tril(m.csr), "symmetric"
+    else:
+        m, symmetry = np.asarray(m, dtype=np.float64), "general"
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    # given a name rather than a file, mmwrite would append ".mtx" to it
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, m, field="real", precision=17, symmetry=symmetry)

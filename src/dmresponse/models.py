@@ -32,17 +32,19 @@ class ModelSpec:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
         if self.n < 2:
-            raise ValueError("model dimension must be at least 2")
+            raise ValueError(f"model dimension must be at least 2, got {self.n}")
         if not 0.0 < self.gap < np.inf:
             raise ValueError(f"gap must be finite and positive, got {self.gap}")
         if self.kind == "overlap_chain" and not (0.0 < self.overlap < 0.5):
-            raise ValueError("neighbor overlap must lie in (0, 0.5) to keep S positive definite")
+            raise ValueError(
+                f"neighbor overlap must lie in (0, 0.5) to keep S positive definite, got {self.overlap}"
+            )
         if self.kind == "gapped_random":
             nb = self.n // 2 if self.n_below is None else self.n_below
             if not (1 <= nb <= self.n - 1):
                 raise ValueError("n_below must lie in [1, n-1]")
             if self.gap >= 2.0 * BANDWIDTH:
-                raise ValueError(f"gap must be below {2.0 * BANDWIDTH} for gapped_random")
+                raise ValueError(f"gap must be below {2.0 * BANDWIDTH} for gapped_random, got {self.gap}")
 
 
 def chain_diagonals(n: int, gap: float) -> tuple[np.ndarray, np.ndarray]:

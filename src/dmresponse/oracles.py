@@ -28,8 +28,8 @@ def finite_difference_response(
 
     Second-order accurate in h for builders smooth along the direction.
     """
-    if h <= 0:
-        raise ValueError("step h must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"step h must be finite and positive, got {h}")
     plus = builder(h0 + h * direction)
     minus = builder(h0 - h * direction)
     return (plus - minus) / (2.0 * h)

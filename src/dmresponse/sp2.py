@@ -53,8 +53,9 @@ MAX_ITERATIONS = 120
 # Stop once |Tr[X^2 - X]| falls below this per-dimension floor ...
 IDEMPOTENCY_FLOOR = 1e-15
 # ... or once it has ceased to decrease over two consecutive steps at or
-# below sqrt(N) times the kernel's `stall_tol`; above that, the error may
-# still rise while the spectrum is sorted into the two bands.
+# below sqrt(N) times the kernel's `idempotency_tol`; above that, the error
+# may still rise while the spectrum is sorted into the two bands, and a
+# gated run could not pass its gate anyway.
 
 # Acceptance thresholds for a converged dense run (see `_DenseOps.gate`).
 TRACE_TOL = 1e-8
@@ -191,13 +192,11 @@ class _DenseOps:
     stall_hint = _GAP_HINT
     # BLAS-3 products already use every core (see _SparseOps).
     overlap_pair_update = False
-    # acceptance limits of a converged run (see `gate`)
+    # acceptance limits of a converged run (see `gate`); the idempotency
+    # limit also caps the stall test (see `_expand`)
     trace_tol = TRACE_TOL
     idempotency_tol = IDEMPOTENCY_TOL
     tol_hint = ""
-    # a stall is taken for the noise floor only at or below sqrt(N) times
-    # this (see `_expand`); above the gate's limit it could not pass anyway
-    stall_tol = IDEMPOTENCY_TOL
 
     def __init__(self, h0: np.ndarray):
         self.n = h0.shape[0]
@@ -350,7 +349,6 @@ class _SparseOps(_DenseOps):
         scale = self.tau * math.sqrt(self.n)
         self.trace_tol = max(TRACE_TOL, scale)
         self.idempotency_tol = max(IDEMPOTENCY_TOL, SPARSE_IDEMPOTENCY_FACTOR * scale)
-        self.stall_tol = self.idempotency_tol
         self.tol_hint = f"; the drop tolerance tau = {self.tau:.3e} may be too coarse for this system"
 
     def check(self, m, name: str) -> None:
@@ -457,7 +455,7 @@ def _expand(h0, n_occ, y_seed=None, replay=None, store=False, ops=None):
     x = ops.seed(alpha, beta, h0)
     y = ops.scale(beta, y_seed) if y_seed is not None else None
     floor = IDEMPOTENCY_FLOOR * n
-    stall_ceiling = ops.stall_tol * math.sqrt(n)
+    stall_ceiling = ops.idempotency_tol * math.sqrt(n)
     target = float(n_occ)
 
     plan = None if replay is None else replay.sigmas

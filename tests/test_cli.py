@@ -545,6 +545,36 @@ class TestErrorPaths:
             code, rep = run_cli(argv, tmp_path)
             assert code == 0 and rep["error"] is None, argv
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["respond", "--kind", "chain", "--size", "1"],
+            ["benchmark", "--kind", "chain", "--sizes", "8,1"],
+            ["respond", "--kind", "chain", "--size", "8", "--gap", "0"],
+            ["respond", "--kind", "chain", "--size", "8", "--gap=-1"],
+            ["respond", "--kind", "chain", "--size", "8", "--gap", "nan"],
+            ["respond", "--kind", "chain", "--size", "8", "--gap", "inf"],
+            ["respond", "--kind", "gapped_random", "--size", "8", "--gap", "4"],
+            ["audit", "--kind", "gapped_random", "--size", "8", "--gap", "9"],
+            ["respond", "--kind", "overlap_chain", "--size", "8", "--model-overlap", "0.5"],
+            ["respond", "--kind", "overlap_chain", "--size", "8", "--model-overlap=-0.1"],
+            ["respond", "--kind", "overlap_chain", "--size", "8", "--model-overlap", "nan"],
+        ],
+    )
+    def test_model_limits_refused_before_inputs(self, monkeypatch, capsys, argv):
+        # the model's own limits (models.ModelSpec) are checked on every
+        # generated dimension before any input is assembled
+        monkeypatch.setattr(cli, "_load_or_generate", lambda cfg: pytest.fail("inputs assembled"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"cannot generate {argv[2]} at size" in capsys.readouterr().err
+
+    def test_unknown_model_kind_refused_by_route(self):
+        # the parser's choices keep it off the command line; RunConfig alone does not
+        with pytest.raises(cli.UsageError, match="unknown model kind"):
+            cli._route(cli.RunConfig("respond", kind="ladder", size=8))
+
     @pytest.mark.parametrize("subcommand", sorted(cli.REFUSED))
     def test_parser_defaults_are_run_config_defaults(self, subcommand):
         # _given compares against RunConfig, so a parser default that differed

@@ -20,6 +20,7 @@ from dmresponse.mixedprec import (
 from dmresponse.models import gapped_random_hamiltonian
 from dmresponse.oracles import binary16_reference_bits
 from dmresponse.response import susceptibility_forward
+from dmresponse.sparse import sparsify
 
 from conftest import random_symmetric
 
@@ -329,7 +330,7 @@ def _reference_pipeline(h0, seed, n_occ, use_split):
     x = (alpha * np.eye(n) + beta * h0).astype(np.float32)
     y = (beta * seed).astype(np.float32)
     sigmas, log = [], []
-    stall_ceiling = mixedprec._F32Ops.stall_tol * np.sqrt(n)
+    stall_ceiling = mixedprec._F32Ops.idempotency_tol * np.sqrt(n)
 
     def tr(m):
         return float(np.trace(m.astype(np.float64)))
@@ -401,6 +402,58 @@ def test_pipelines_match_golden_digests_at_n32():
         h.update(repr((res.trace.sigmas, res.trace.idempotency_log, res.mult_count)).encode())
         digests[name, seeded] = h.hexdigest()
     assert digests == GOLDEN_N32
+
+
+@pytest.mark.parametrize("kernel", [mixedprec._F32Ops, mixedprec._Split16Ops])
+def test_stored_backward_sweep_runs_in_float32(kernel):
+    # a stored low-precision expansion sweeps the caller's float64 observable
+    # back in float32: every product and every derivative iterate, as forward
+    n = 200
+    h0 = gapped_random_hamiltonian(n, 1.0, n // 2, seed=3)
+    a = random_symmetric(np.random.default_rng(4), n)
+    ops = kernel(h0)
+    _, _, expansion = sp2._expand(h0, n // 2, store=True, ops=ops)
+    factors, iterates = [], []
+    real_gemm, real_update = ops._gemm, ops.pair_update
+
+    def gemm(x, y):
+        factors.extend((x.dtype, y.dtype))
+        return real_gemm(x, y)
+
+    def update(sigma, y, x):
+        iterates.append(real_update(sigma, y, x))
+        return iterates[-1]
+
+    ops._gemm, ops.pair_update = gemm, update
+    chi = expansion.backward(a)
+    assert a.dtype == np.float64 and chi.dtype == np.float32
+    per_step = 3 if kernel is mixedprec._Split16Ops else 1
+    assert len(factors) == 2 * per_step * expansion.m_steps
+    assert len(iterates) == expansion.m_steps
+    assert set(factors) | {y.dtype for y in iterates} == {np.dtype(np.float32)}
+    forward = expansion.forward(a)
+    scale = 10 * np.sqrt(n) * np.finfo(np.float32).eps
+    assert np.linalg.norm(chi - forward) <= scale * np.linalg.norm(forward)
+
+
+# sha256 of the float64 kernels' stored backward sweep at n = 32; only the
+# low-precision pair update casts its derivative iterate
+GOLDEN_BACKWARD_N32 = {
+    "dense": "eadfe5e5f695108604252e404348c1f66e9b408531f8762e83180d56ae0c258f",
+    "sparse": "d3846928f55a0acd74dac7ba9fe9a99b3af620bfed5d88c3faaeb448030aa019",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BACKWARD_N32))
+def test_float64_backward_sweeps_match_golden_digests_at_n32(kind):
+    h0 = gapped_random_hamiltonian(32, 1.6, 16, seed=321)
+    a = gapped_random_hamiltonian(32, 1.0, 16, seed=322)
+    if kind == "sparse":
+        h0, a = sparsify(h0, 1e-9), sparsify(a, 1e-9)
+    _, _, expansion = sp2._expand(h0, 16, store=True)
+    chi = expansion.backward(a)
+    chi = chi.to_dense() if kind == "sparse" else chi
+    assert hashlib.sha256(chi.tobytes()).hexdigest() == GOLDEN_BACKWARD_N32[kind]
 
 
 def test_each_iterate_is_split_once_per_step(monkeypatch):

@@ -255,20 +255,43 @@ def test_reader_matches_per_line_reference(text):
 WRITER_VALUES = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, -1.0 / 3.0, 12345.0]
 
 
-def test_writer_matches_per_value_format(tmp_path, rng):
+def test_writer_round_trips_edge_values(tmp_path, rng):
+    # signed zero, subnormal, smallest normal, near-overflow and inexact
+    # decimals come back bit for bit from both formats
     x = rng.standard_normal((7, 7)) * 10.0 ** rng.integers(-300, 300, size=(7, 7))
     x.flat[: len(WRITER_VALUES)] = WRITER_VALUES
     p = tmp_path / "x.mtx"
     write_matrix_market(p, x)
-    expected = "%%MatrixMarket matrix array real general\n7 7\n"
-    expected += "".join(f"{v:.17g}\n" for v in x.flatten(order="F"))
-    assert p.read_bytes() == expected.encode("ascii")
+    lines = p.read_text(encoding="ascii").splitlines()
+    assert lines[0] == "%%MatrixMarket matrix array real general"
+    size, *body = [s for s in lines[1:] if s.strip() and not s.startswith("%")]
+    assert size.split() == ["7", "7"]
+    values = np.array([float(v) for v in body])
+    assert values.tobytes() == x.flatten(order="F").tobytes()
 
     sym = x + x.T
+    lower = np.tril_indices(7, -1)
+    sym[lower[0][: len(WRITER_VALUES)], lower[1][: len(WRITER_VALUES)]] = WRITER_VALUES
+    sym = np.tril(sym) + np.tril(sym, -1).T
     sym[0, 0] = 5e-324
     sm = threshold(sp.csr_matrix(sym), 0.0)
     write_matrix_market(p, sm)
-    lower = [(i, j) for j in range(7) for i in range(j, 7) if sym[i, j] != 0.0]
-    expected = f"%%MatrixMarket matrix coordinate real symmetric\n7 7 {len(lower)}\n"
-    expected += "".join(f"{i + 1} {j + 1} {sym[i, j]:.17g}\n" for i, j in lower)
-    assert p.read_bytes() == expected.encode("ascii")
+    back = read_matrix_market(p)
+    assert isinstance(back, SparseMatrix)
+    for part in ("indptr", "indices", "data"):
+        assert getattr(back.csr, part).tobytes() == getattr(sm.csr, part).tobytes(), part
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_writer_lands_at_the_given_path(tmp_path, sparse):
+    # a name without ".mtx" is written as given, not with the suffix added
+    m = chain_hamiltonian(9, 1.0)
+    if sparse:
+        m = sparsify(m, 0.0)
+    p = tmp_path / "h0"
+    write_matrix_market(p, m)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["h0"]
+    back = read_matrix_market(p)
+    if sparse:
+        back, m = back.to_dense(), m.to_dense()
+    assert back.tobytes() == m.tobytes()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,18 @@ class TestFiniteDifferenceResponse:
     def test_rejects_bad_step(self, rng):
         with pytest.raises(ValueError):
             finite_difference_response(lambda h: h, np.eye(2), np.eye(2), h=0.0)
+
+    @pytest.mark.parametrize("h", [np.nan, np.inf])
+    def test_rejects_non_finite_step_by_name(self, h):
+        # refused before the builder runs: no "non-finite entries" error from
+        # it and no overflow warning from h * direction
+        def builder(m):
+            raise AssertionError("builder called for a non-finite step")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"step h must be finite and positive, got (nan|inf)"):
+                finite_difference_response(builder, np.eye(2), np.eye(2), h=h)
 
     def test_convergence_order_is_quadratic(self):
         n, n_occ = 20, 10
