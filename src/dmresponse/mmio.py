@@ -1,12 +1,14 @@
 """Matrix Market file exchange.
 
 Two pinned formats: "matrix array real general" (dense, column-major body,
-symmetrized on load with an asymmetry check) and "matrix coordinate real
-symmetric" (1-based indices, lower triangle stored, each entry at most
-once, mirrored on load into sparse storage built straight from the entry
-list). Both reject non-finite values on the line that holds them. Values
-are written with 17 significant digits so a write/read round trip
-reproduces doubles bit for bit.
+loaded only when exactly symmetric, as `linalg.symmetric_matrix` checks:
+one entry that differs from its mirror is an error at the size line, and
+nothing is averaged) and "matrix coordinate real symmetric" (1-based
+indices, lower triangle stored, each entry at most once, mirrored on load
+into sparse storage built straight from the entry list). Both reject
+non-finite values on the line that holds them. Values are written with 17
+significant digits, so a write/read round trip of a symmetric matrix
+reproduces every double bit for bit, signed zeros and subnormals included.
 
 Files are ASCII, with LF, CRLF or lone CR line ends. Each file is read
 in one bulk pass: its bytes are decoded once, and the banner, leading

@@ -37,6 +37,7 @@ from .linalg import (
     congruence_transform,
     inverse_sqrt_factor,
     sym_eigendecompose,
+    symmetric_matrix,
     symmetrize,
 )
 from .sp2 import Sp2Trace, _expand, sp2_ground_state
@@ -83,16 +84,17 @@ class BilinearKernel:
 
     Linear and symmetry-preserving by construction, and satisfies the
     exchange condition Tr[P G(Q)] = Tr[Q G(P)] that the response duality
-    rests on.
+    rests on. Each factor must pass `linalg.symmetric_matrix` (square,
+    finite, exactly symmetric; kept as given, never averaged) and both must
+    have one shape; ValueError otherwise.
     """
 
     name = "bilinear"
 
     def __init__(self, b: np.ndarray, c: np.ndarray):
-        if b.shape != c.shape or b.shape[0] != b.shape[1]:
-            raise ValueError("kernel factors must be square matrices of equal shape")
-        self.b = symmetrize(np.asarray(b, dtype=np.float64))
-        self.c = symmetrize(np.asarray(c, dtype=np.float64))
+        self.b, self.c = symmetric_matrix(b), symmetric_matrix(c)
+        if self.b.shape != self.c.shape:
+            raise ValueError(f"kernel factors differ in shape: {self.b.shape} vs {self.c.shape}")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.b @ x @ self.c + self.c @ x @ self.b

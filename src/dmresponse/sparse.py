@@ -8,8 +8,10 @@ order. So `threshold` applies a plain elementwise drop (|x_ij| < tau) after
 each multiply-add, and that drop keeps the pattern symmetric. The SP2 entry
 point checks once that its sparse inputs are exactly symmetric, and
 `SparseMatrix` accepts only a finite, non-negative tau. `threshold` is the
-one drop rule: `sparsify` applies it to dense input, which must be finite
-and exactly symmetric. The sparse SP2 kernel bounds the spectrum by
+one drop rule: `sparsify` applies it to dense input that passes
+`linalg.symmetric_matrix`, the one check of a caller's dense matrix
+(square, non-empty, finite and exactly symmetric, never averaged), before
+anything is dropped. The sparse SP2 kernel bounds the spectrum by
 `linalg.gershgorin_bounds`, which takes the CSR array directly and needs no
 eigensolve.
 
@@ -28,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .linalg import symmetric_matrix
 
 
 @dataclass(frozen=True)
@@ -100,15 +104,10 @@ def check_symmetric(m: SparseMatrix, name: str) -> None:
 
 
 def sparsify(x: np.ndarray, tau: float) -> SparseMatrix:
-    """Threshold a finite, exactly symmetric dense matrix into sparse
-    storage (ValueError otherwise)."""
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sparse input holds non-finite entries")
-    m = threshold(x, tau)
-    check_symmetric(m, "input")
-    return m
+    """Threshold a dense matrix that `linalg.symmetric_matrix` accepts
+    (square, non-empty, finite, exactly symmetric) into sparse storage;
+    ValueError otherwise."""
+    return threshold(symmetric_matrix(x), tau)
 
 
 def from_diagonals(diagonals, offsets, tau: float) -> SparseMatrix:

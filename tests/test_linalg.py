@@ -15,22 +15,39 @@ from conftest import random_symmetric
 
 
 class TestSymmetricMatrix:
-    def test_symmetrizes_small_noise(self):
+    def test_rejects_small_noise(self):
+        # any asymmetry is rejected, however small; nothing is averaged
         x = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
-        y = symmetric_matrix(x)
-        assert np.array_equal(y, y.T)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            symmetric_matrix(x)
+        x[1, 0] = np.nextafter(2.0, 3.0)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            symmetric_matrix(x)
 
     def test_rejects_large_asymmetry(self):
         x = np.array([[1.0, 2.0], [0.0, 3.0]])
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match="not exactly symmetric"):
             symmetric_matrix(x)
 
     def test_entries_near_the_float64_limit_stay_finite(self):
         x = np.array([[1.0, 1.5e308], [1.5e308, 1.0]])
         assert np.array_equal(symmetric_matrix(x), x)
         # the asymmetry test itself must not overflow into a pass
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match="not exactly symmetric"):
             symmetric_matrix(np.array([[0.0, 1.5e308], [-1.5e308, 0.0]]))
+
+    def test_symmetric_input_kept_bit_for_bit(self):
+        # halving would send an odd multiple of the smallest subnormal to 0
+        x = np.array([[-0.0, 5e-324], [5e-324, 0.1]])
+        y = symmetric_matrix(x)
+        assert y.tobytes() == x.tobytes()
+        assert y is not x and not np.shares_memory(y, x)
+
+    def test_returns_c_order_for_fortran_input(self, rng):
+        x = np.asfortranarray(random_symmetric(rng, 6))
+        y = symmetric_matrix(x)
+        assert y.flags.c_contiguous
+        assert np.array_equal(y, x)
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,8 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         ("%%MatrixMarket matrix coordinate real symmetric\n3 3 1\n99999999999999999999 1 1\n", 3),
         ("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1\n1 1\n", 4),
         ("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0 2.0\n1 1 1\n", 3),
+        # 1e-12 off symmetric is an error at the size line, not noise to average
+        ("%%MatrixMarket matrix array real general\n% c\n2 2\n1\n0.5\n0.500000000001\n1\n", 3),
     ],
 )
 def test_malformed_files_report_line(tmp_path, content, line_no):
@@ -92,8 +94,15 @@ def test_malformed_files_report_line(tmp_path, content, line_no):
 def test_asymmetric_array_rejected(tmp_path):
     p = tmp_path / "asym.mtx"
     p.write_text("%%MatrixMarket matrix array real general\n2 2\n1\n0.5\n0\n1\n")
-    with pytest.raises(MatrixMarketError, match="not symmetric"):
+    with pytest.raises(MatrixMarketError, match="not exactly symmetric"):
         read_matrix_market(p)
+
+
+def test_subnormal_array_round_trip_bit_identical(tmp_path):
+    x = np.array([[-0.0, 5e-324], [5e-324, 0.1]])
+    p = tmp_path / "x.mtx"
+    write_matrix_market(p, x)
+    assert read_matrix_market(p).tobytes() == x.tobytes()
 
 
 def test_duplicate_coordinate_entry_rejected(tmp_path):

@@ -70,6 +70,17 @@ class TestKernels:
         rhs = trace_product(q, apply_kernel(kernel, p))
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
+    def test_bilinear_rejects_asymmetric_or_mismatched_factors(self, rng):
+        b = random_symmetric(rng, 5)
+        skew = b.copy()
+        skew[0, 1] += 1e-12
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            BilinearKernel(skew, b)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            BilinearKernel(b, skew)
+        with pytest.raises(ValueError, match="differ in shape"):
+            BilinearKernel(b, random_symmetric(rng, 4))
+
 
 class TestScfGroundState:
     def test_zero_kernel_single_pass(self):

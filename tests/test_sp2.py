@@ -107,9 +107,11 @@ class TestGroundState:
 
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
     @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_bounds_rejected_before_any_product(self, monkeypatch, storage, n):
         # finite entries whose Gershgorin width (n = 2) or disc radius (n = 3)
-        # overflows float64; the dense kernel must not run its eigensolve
+        # overflows float64; the dense kernel must not run its eigensolve,
+        # and the overflow is reported by name, not as a numpy warning
         h0 = np.full((n, n), 1e308)
         np.fill_diagonal(h0, 1.0)
         if storage == "sparse":

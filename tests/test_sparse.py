@@ -68,6 +68,17 @@ class TestSparsify:
         with pytest.raises(ValueError, match="not exactly symmetric"):
             sparsify(x, 1e-6)
 
+    def test_rejects_asymmetry_that_threshold_would_drop(self):
+        # checked before the drop: 1e-9 against tau = 1e-6 is still rejected
+        x = np.array([[1.0, 1e-9], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            sparsify(x, 1e-6)
+
+    def test_rejects_empty_and_nonsquare_input(self):
+        for x in (np.zeros((0, 0)), np.zeros((2, 3))):
+            with pytest.raises(ValueError):
+                sparsify(x, 0.0)
+
     def test_rejects_non_finite_symmetric_input(self):
         # NaN != NaN, so the symmetry check alone would call it asymmetric
         x = np.eye(3)
