@@ -467,8 +467,7 @@ def _solve_low_precision(cfg, h0, s, a, h1, n_occ) -> dict:
     runs = []
 
     def respond(key, seed):
-        mode = "perturbation" if key == "a1_direct" else "susceptibility"
-        runs.append(pipeline(h0, seed, n_occ, mode=mode))
+        runs.append(pipeline(h0, seed, n_occ))
         return runs[-1].response
 
     def respond_f64(key, seed):
@@ -500,9 +499,10 @@ SOLVERS = {
 }
 
 
-def _run_route(cfg: RunConfig, route: str) -> dict:
+def _run_route(cfg: RunConfig, route: str) -> tuple[dict, dict]:
     """ground-state, respond and each size of benchmark: load the inputs,
-    apply the overlap, and run (and time) the route's solver."""
+    apply the overlap, and run the route's solver. Returns (results,
+    timing), timing holding the solver's wall time as solve_s."""
     h0, s, a, h1 = _load_or_generate(cfg)
     n = _dim(h0)
     n_occ = _resolve_n_occ(cfg, n)
@@ -519,10 +519,10 @@ def _run_route(cfg: RunConfig, route: str) -> dict:
         results["mode"] = cfg.mode
     started = time.perf_counter()
     results.update(SOLVERS[route](cfg, h0, s, a, h1, n_occ))
-    results["solve_s"] = time.perf_counter() - started
+    timing = {"solve_s": time.perf_counter() - started}
     if "values" in results:
         results["duality_deviations"] = pairwise_deviations(results["values"])
-    return results
+    return results, timing
 
 
 # the audit's names for the a1 values of the two routes it runs
@@ -536,11 +536,12 @@ AUDIT_NAMES = {
 }
 
 
-def _run_audit(cfg: RunConfig, route: str) -> dict:
+def _run_audit(cfg: RunConfig, route: str) -> tuple[dict, dict]:
     """Every a1 value of the route's solver plus one independent oracle value,
-    with their pairwise deviations. The oracle is the eigenbasis projector
-    derivative at the HOMO-LUMO midpoint at zero temperature, and the central
-    difference of Tr[A D] with step --fd-step at finite temperature."""
+    with their pairwise deviations; no timing beyond the run's total. The
+    oracle is the eigenbasis projector derivative at the HOMO-LUMO midpoint
+    at zero temperature, and the central difference of Tr[A D] with step
+    --fd-step at finite temperature."""
     h0, _, a, h1 = _load_or_generate(cfg)
     n = h0.shape[0]
     n_occ = _resolve_n_occ(cfg, n)
@@ -570,17 +571,21 @@ def _run_audit(cfg: RunConfig, route: str) -> dict:
         "max_abs_deviation": worst,
         "max_rel_deviation": worst / scale,
         "details": details,
+    }, {}
+
+
+def _run_benchmark(cfg: RunConfig, route: str) -> tuple[dict, dict]:
+    """The sparse route's forward susceptibility at each --sizes dimension,
+    timed per size, with the wall-time ratio of each doubling."""
+    runs = [_run_route(replace(cfg, size=n, mode="suscept-fwd"), route) for n in cfg.sizes]
+    per_size = [results for results, _ in runs]
+    wall = [timing["solve_s"] for _, timing in runs]
+    ratios = {
+        f"{cur['dim']}/{prev['dim']}": t_cur / t_prev
+        for prev, cur, t_prev, t_cur in zip(per_size, per_size[1:], wall, wall[1:])
+        if cur["dim"] == 2 * prev["dim"] and t_prev > 0
     }
-
-
-def _run_benchmark(cfg: RunConfig, route: str) -> dict:
-    """The sparse route's forward susceptibility at each --sizes dimension."""
-    per_size = [_run_route(replace(cfg, size=n, mode="suscept-fwd"), route) for n in cfg.sizes]
-    ratios = {}
-    for prev, cur in zip(per_size, per_size[1:]):
-        if cur["dim"] == 2 * prev["dim"] and prev["solve_s"] > 0:
-            ratios[f"{cur['dim']}/{prev['dim']}"] = cur["solve_s"] / prev["solve_s"]
-    return {"kind": cfg.kind, "per_size": per_size, "time_ratios": ratios}
+    return {"kind": cfg.kind, "per_size": per_size}, {"per_size_wall_s": wall, "time_ratios": ratios}
 
 
 # ---------------------------------------------------------------------------
@@ -619,12 +624,11 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
     runner = {"audit": _run_audit, "benchmark": _run_benchmark}.get(cfg.subcommand, _run_route)
     code = 0
     try:
-        results = runner(cfg, route)
         # timing values are excluded from determinism guarantees
-        timing_keys = _strip_timing(results)
+        results, timing = runner(cfg, route)
         _check_finite(results)
         report["results"] = results
-        report["timing"] = {"total_s": time.perf_counter() - started, **timing_keys}
+        report["timing"] = {"total_s": time.perf_counter() - started, **timing}
     except (ConvergenceError, MatrixMarketError, ValueError, OverflowError) as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConvergenceError) and exc.history:
@@ -632,17 +636,6 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         report["timing"] = {"total_s": time.perf_counter() - started}
         code = 1
     return code, report
-
-
-def _strip_timing(results: dict) -> dict:
-    """Move wall-clock fields out of the deterministic results section."""
-    timing = {}
-    if "solve_s" in results:
-        timing["solve_s"] = results.pop("solve_s")
-    if results.get("per_size"):
-        timing["per_size_wall_s"] = [entry.pop("solve_s") for entry in results["per_size"]]
-        timing["time_ratios"] = results.pop("time_ratios")
-    return timing
 
 
 def _write_report(report: dict, out: str | None):

@@ -121,19 +121,22 @@ def inverse_sqrt_factor(s: np.ndarray) -> np.ndarray:
 _CONGRUENCE_DIRECTIONS = ("to_orthogonal", "density_from_orthogonal")
 
 
-def congruence_transform(x: np.ndarray, z: np.ndarray, direction: str) -> np.ndarray:
+def congruence_transform(x: np.ndarray, z: np.ndarray | None, direction: str) -> np.ndarray:
     """Map operators and densities between overlapping and orthonormal bases.
 
     direction:
       * ``to_orthogonal``           -> Z^T X Z    (operators H, A)
       * ``density_from_orthogonal`` -> Z X Z^T    (densities, susceptibilities)
+
+    z None means X is already in the orthonormal basis: no product is made
+    and X is only symmetrized, the round-off repair that ends either map.
     """
-    if x.shape != z.shape or x.shape[0] != x.shape[1]:
+    if z is not None and (x.shape != z.shape or x.shape[0] != x.shape[1]):
         raise ValueError(f"dimension mismatch: X {x.shape} vs Z {z.shape}")
     if direction == "to_orthogonal":
-        y = z.T @ x @ z
+        y = x if z is None else z.T @ x @ z
     elif direction == "density_from_orthogonal":
-        y = z @ x @ z.T
+        y = x if z is None else z @ x @ z.T
     else:
         raise ValueError(
             f"unknown direction {direction!r}; expected one of {_CONGRUENCE_DIRECTIONS}"

@@ -3,8 +3,9 @@
 The Hamiltonian depends on the density through a pluggable linear,
 symmetry-preserving kernel G. Each sweep is the transformed solve:
 congruence to the orthonormal basis, the inner ground state there, and
-congruence back. The inner ground state is picked once per run: an
-`Sp2GroundState` (spectral projection) at zero temperature and a
+congruence back; without an overlap the basis is already orthonormal and
+there is no congruence factor. The inner ground state is picked once per
+run: an `Sp2GroundState` (spectral projection) at zero temperature and a
 `thermal.FermiGroundState` (Fermi smearing) otherwise. Both are frozen and
 offer `d0`, `mu0` and `forward(seed)`, the derivative of D0 along a seed
 (Niklasson, Cawkwell, Rubensson & Rudberg, PRE 92, 063301, 2015).
@@ -161,13 +162,14 @@ class Sp2GroundState:
 
 @dataclass(frozen=True)
 class ScfState:
-    """Converged self-consistent ground state: the overlap factor Z, the
-    kernel, D0, the H_eff that builds it, the inner ground state of the
+    """Converged self-consistent ground state: the overlap factor Z (None
+    without an overlap: the basis is already orthonormal), the kernel, D0,
+    the H_eff that builds it, the inner ground state of the
     orthonormal-basis H_eff (an Sp2GroundState at zero temperature, a
     thermal.FermiGroundState otherwise) that every response solve
     differentiates, and the sweeps' residual history."""
 
-    z: np.ndarray
+    z: np.ndarray | None
     kernel: object
     d0: np.ndarray
     h_eff: np.ndarray
@@ -224,6 +226,12 @@ def scf_ground_state(
 ) -> ScfState:
     """Self-consistent ground state of H_eff = H_core + G(D).
 
+    H_core and S must pass `linalg.symmetric_matrix` (square, finite and
+    exactly symmetric; kept as given, never averaged), ValueError otherwise.
+    S, when given, must be positive definite; its Loewdin factor Z maps
+    every sweep to the orthonormal basis and back. Without S no factor is
+    made: ScfState.z is None and each sweep works on H_eff itself.
+
     Each sweep checks that H_eff(D) is finite (ValueError naming the kernel
     and the sweep otherwise) and builds the inner ground state of its
     orthonormal-basis form; D_new is that state's D0 taken back through Z.
@@ -233,7 +241,8 @@ def scf_ground_state(
     Raises ConvergenceError with the residual history when MAX_ITERS sweeps
     do not get there.
     """
-    z = inverse_sqrt_factor(s) if s is not None else np.eye(h_core.shape[0])
+    h_core = symmetric_matrix(h_core)
+    z = None if s is None else inverse_sqrt_factor(symmetric_matrix(s))
     # spectral projection at zero temperature, Fermi smearing otherwise
     if cfg.beta_t is None:
 
@@ -290,13 +299,18 @@ def scf_response(state: ScfState, seed: np.ndarray) -> ScfResponse:
     response when the seed is a Hamiltonian perturbation, the susceptibility
     when it is an observable.
 
+    The seed must pass `linalg.symmetric_matrix` (exactly symmetric, never
+    averaged) and match the state's dimension; ValueError otherwise.
+
     With L(x) = Z inner.forward(Z^T x Z) Z^T the derivative of the frozen
-    inner ground state between the congruences with Z, the response is the
+    inner ground state between the congruences with Z (without an overlap
+    Z is None and the congruences only symmetrize), the response is the
     fixed point y = L(seed + G(y)), reached from y = L(seed) by the ground
     state's Anderson mixer. The fresh image is returned once it lies within
     EPS_SCF of y. Raises ConvergenceError with the residual history when
     MAX_ITERS applications do not get there.
     """
+    seed = symmetric_matrix(seed)
     if seed.shape != state.d0.shape:
         raise ValueError(f"dimension mismatch: {seed.shape} vs {state.d0.shape}")
     z = state.z

@@ -14,6 +14,12 @@ finite-temperature self-consistent route (see `scf`).
 This route requires a diagonalization, so it does not scale to large sparse
 problems; at desk scale it doubles as the oracle for the recursive zero-T
 expansions.
+
+Every matrix a caller hands in, h and the direction of a `canonical_*`
+response, must pass `linalg.symmetric_matrix` (square, finite and exactly
+symmetric; kept as given, never averaged); ValueError otherwise.
+`FermiGroundState.derivative` takes its seed as given: the self-consistent
+route builds each one exactly symmetric.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import expit
 
-from .linalg import EigenDecomposition, sym_eigendecompose, symmetrize
+from .linalg import EigenDecomposition, sym_eigendecompose, symmetric_matrix, symmetrize
 
 # Relative eigenvalue-spacing below which divided differences switch to the
 # midpoint derivative (avoids catastrophic cancellation).
@@ -114,10 +120,12 @@ class FermiGroundState:
 
 
 def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float) -> FermiGroundState:
-    """Eigendecompose h, bisect mu0 so that Tr[D] = n_occ, and build the
-    Fermi-smeared D in that eigenbasis, frozen as a FermiGroundState."""
+    """Check h with `linalg.symmetric_matrix`, eigendecompose it, bisect mu0
+    so that Tr[D] = n_occ, and build the Fermi-smeared D in that eigenbasis,
+    frozen as a FermiGroundState."""
     if not 0.0 < beta_t < math.inf:
         raise ValueError(f"inverse temperature beta_t must be finite and positive, got {beta_t}")
+    h = symmetric_matrix(h)
     n = h.shape[0]
     if not 0.0 < n_occ < n:
         raise ValueError(f"n_occ must lie in (0, {n}), got {n_occ}")
@@ -193,7 +201,7 @@ def canonical_susceptibility(h: np.ndarray, a: np.ndarray, beta_t: float, n_occ:
 
     Returns (chi, mu1).
     """
-    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(a)
+    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(symmetric_matrix(a))
 
 
 def canonical_dm_response(h: np.ndarray, h1: np.ndarray, beta_t: float, n_occ: float):
@@ -202,4 +210,4 @@ def canonical_dm_response(h: np.ndarray, h1: np.ndarray, beta_t: float, n_occ: f
 
     Returns (d1, mu1).
     """
-    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(h1)
+    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(symmetric_matrix(h1))

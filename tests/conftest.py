@@ -13,6 +13,13 @@ def random_symmetric(rng, n, scale=1.0):
     return symmetrize(rng.standard_normal((n, n)) * scale)
 
 
+def one_ulp_asymmetric(x):
+    """A copy of x whose (0, 1) entry is one ulp above its (1, 0) mirror."""
+    y = np.array(x, dtype=np.float64)
+    y[0, 1] = np.nextafter(y[0, 1], np.inf)
+    return y
+
+
 def projector_builder(n_occ):
     """Zero-T density matrix via the eigensolver, at fixed occupation count."""
 

@@ -265,11 +265,22 @@ class TestRespond:
             ["--kind", "chain", "--size", "200", "--tau", "1e-6"],
             ["--kind", "gapped_random", "--size", "30", "--kernel", "hubbard:1"],
             ["--kind", "gapped_random", "--size", "30", "--kernel", "hubbard:1", "--beta-t", "20"],
+            ["--kind", "gapped_random", "--size", "30", "--kernel", "bilinear:0.3"],
             ["--kind", "gapped_random", "--size", "30", "--beta-t", "20"],
             ["--kind", "gapped_random", "--size", "64", "--gap", "1.6", "--precision", "f32"],
             ["--kind", "gapped_random", "--size", "64", "--gap", "1.6", "--precision", "split16"],
         ],
-        ids=["dense", "dense_orthogonalized", "sparse", "scf", "scf_finite_t", "thermal", "f32", "split16"],
+        ids=[
+            "dense",
+            "dense_orthogonalized",
+            "sparse",
+            "scf",
+            "scf_finite_t",
+            "scf_bilinear",
+            "thermal",
+            "f32",
+            "split16",
+        ],
     )
     def test_mode_both_values_equal_separate_modes(self, tmp_path, flags):
         # --mode both serves its forward seeds from the backward route's

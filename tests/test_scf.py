@@ -3,7 +3,7 @@ import pytest
 
 from dmresponse import scf, thermal
 from dmresponse.exceptions import ConvergenceError
-from dmresponse.linalg import trace_product
+from dmresponse.linalg import congruence_transform, trace_product
 from dmresponse.models import gapped_random_hamiltonian, overlap_chain_matrices
 from dmresponse.response import dm_perturbation_forward, susceptibility_forward
 from dmresponse.scf import (
@@ -21,7 +21,7 @@ from dmresponse.scf import (
 from dmresponse.sp2 import Sp2Expansion, sp2_ground_state
 from dmresponse.thermal import FermiGroundState
 
-from conftest import random_symmetric
+from conftest import one_ulp_asymmetric, random_symmetric
 
 
 def hubbard(u=0.1):
@@ -413,3 +413,59 @@ class TestKrylovAndAnderson:
             d = d + 0.3 * (d_new - d)
         state = scf_ground_state(h, None, kernel, n_occ)
         assert np.linalg.norm(state.d0 - d_new) <= 1e-10
+
+
+class TestOperandsAsGiven:
+    @pytest.mark.parametrize("beta_t", [None, 20.0])
+    @pytest.mark.parametrize("kernel_kind", ["hubbard", "bilinear"])
+    def test_no_overlap_matches_identity_overlap_bit_for_bit(
+        self, rng, monkeypatch, kernel_kind, beta_t
+    ):
+        # the factor of S = I is pinned to the exact identity, so the check
+        # does not rest on which eigenvectors LAPACK returns for I
+        monkeypatch.setattr(scf, "inverse_sqrt_factor", lambda s: np.eye(s.shape[0]))
+        n = 16
+        h, a, h1 = gapped_case(rng, n, 97)
+        kernel = hubbard(1.0) if kernel_kind == "hubbard" else bilinear(rng, n, scale=0.3)
+        runs = []
+        for s in (None, np.eye(n)):
+            state = scf_ground_state(h, s, kernel, n // 2, ScfConfig(beta_t=beta_t))
+            d1, chi = scf_response(state, h1), scf_response(state, a)
+            runs.append(
+                [state.d0, d1.response, chi.response, state.residuals, d1.residuals, chi.residuals]
+            )
+        for got, want in zip(*runs):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("beta_t", [None, 20.0])
+    def test_no_overlap_makes_no_loewdin_product(self, rng, monkeypatch, beta_t):
+        factors = []
+
+        def spy(x, z, direction):
+            factors.append(z)
+            return congruence_transform(x, z, direction)
+
+        monkeypatch.setattr(scf, "congruence_transform", spy)
+        n = 12
+        h, a, h1 = gapped_case(rng, n, 98)
+        state = scf_ground_state(h, None, bilinear(rng, n), n // 2, ScfConfig(beta_t=beta_t))
+        scf_response(state, h1)
+        scf_response(state, a)
+        assert state.z is None
+        assert factors and all(z is None for z in factors)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h, s, h1: scf_ground_state(one_ulp_asymmetric(h), s, hubbard(), 5),
+            lambda h, s, h1: scf_ground_state(h, one_ulp_asymmetric(s), hubbard(), 5),
+            lambda h, s, h1: scf_response(
+                scf_ground_state(h, s, hubbard(), 5), one_ulp_asymmetric(h1)
+            ),
+        ],
+        ids=["h_core", "s", "seed"],
+    )
+    def test_one_ulp_asymmetry_rejected(self, rng, call):
+        h, s = overlap_chain_matrices(10, 1.0, 0.2)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            call(h, s, random_symmetric(rng, 10))

@@ -14,7 +14,7 @@ from dmresponse.thermal import (
     loewner_matrix,
 )
 
-from conftest import random_symmetric
+from conftest import one_ulp_asymmetric, random_symmetric
 
 
 class TestFermiMatrix:
@@ -58,6 +58,23 @@ class TestFermiMatrix:
                 fermi_matrix_and_mu(h, beta_t, 4.0)
             with pytest.raises(ValueError, match="beta_t must be finite and positive"):
                 canonical_susceptibility(h, np.eye(8), beta_t, 4.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda h, m: fermi_matrix_and_mu(one_ulp_asymmetric(h), 20.0, 4.0),
+            lambda h, m: canonical_dm_response(one_ulp_asymmetric(h), m, 20.0, 4.0),
+            lambda h, m: canonical_susceptibility(h, one_ulp_asymmetric(m), 20.0, 4.0),
+            lambda h, m: canonical_dm_response(h, one_ulp_asymmetric(m), 20.0, 4.0),
+        ],
+        ids=["h", "h_of_response", "a", "h1"],
+    )
+    def test_rejects_one_ulp_asymmetry(self, rng, call):
+        # h is checked where it is eigendecomposed, so no triangle is read
+        # alone; a direction is checked before it is differentiated along
+        h = gapped_random_hamiltonian(8, 1.0, 4, seed=2)
+        with pytest.raises(ValueError, match="not exactly symmetric"):
+            call(h, random_symmetric(rng, 8))
 
 
 class TestLoewnerMatrix:
