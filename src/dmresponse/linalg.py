@@ -1,12 +1,14 @@
 """Dense symmetric matrix algebra.
 
 Storage is plain float64 ``numpy`` arrays kept logically symmetric.
-`symmetric_matrix` is the one check of a dense matrix that a caller hands
-in; `symmetrize` repairs round-off only on results whose exact value is
-symmetric. The one eigensolver is LAPACK's symmetric ``eigh``:
-deterministic for a given input, and its eigenvectors are orthonormal to
-near machine precision (||V^T V - I||_F about 3e-14 at n = 200), which
-every eigenbasis-based check in the test suite leans on.
+`check_symmetric` is the one rule for a dense matrix that a caller hands
+in (square, non-empty, finite and exactly symmetric, checked in place);
+`symmetric_matrix` applies it to a fresh copy, and the SP2 kernels to the
+operand as given. `symmetrize` repairs round-off only on results whose
+exact value is symmetric. The one eigensolver is LAPACK's symmetric
+``eigh``: deterministic for a given input, and its eigenvectors are
+orthonormal to near machine precision (||V^T V - I||_F about 3e-14 at
+n = 200), which every eigenbasis-based check in the test suite leans on.
 `gershgorin_bounds` also takes CSR storage: it is the sparse SP2 kernel's
 spectral bound, and the interval the dense kernels narrow with the
 values-only form of the same solver (``eigvalsh``, see
@@ -45,26 +47,35 @@ class SpectralBounds:
         return self.eps_max - self.eps_min
 
 
-def symmetric_matrix(data) -> np.ndarray:
-    """Validate a dense symmetric matrix that a caller hands in.
+def check_symmetric(x: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """The one rule for a dense matrix that a caller hands in, applied in
+    place: return x once it is square, non-empty, finite and exactly
+    symmetric (X == X^T entry by entry); raise ValueError naming the operand
+    otherwise.
 
-    Returns a fresh C-ordered float64 copy of `data`, every bit kept, once it
-    is square, non-empty, finite and exactly symmetric (X == X^T entry by
-    entry); raises ValueError otherwise. Nothing is averaged: an asymmetry
-    of one ulp points at input that the response duality does not hold for,
-    not at noise to repair. C order keeps BLAS sums over the result the same
-    whatever layout `data` had.
+    Nothing is copied and nothing is averaged: an asymmetry of one ulp
+    points at input that the response duality does not hold for, not at
+    noise to repair. The SP2 kernels apply it to every dense operand as
+    given (see `sp2._DenseOps.check`).
     """
-    x = np.array(data, dtype=np.float64, order="C")
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {x.shape}")
+        raise ValueError(f"expected a square {name}, got shape {x.shape}")
     if x.shape[0] < 1:
-        raise ValueError("matrix dimension must be at least 1")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("matrix contains non-finite entries")
+        raise ValueError(f"{name} dimension must be at least 1")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} contains non-finite entries")
     if not np.array_equal(x, x.T):
-        raise ValueError("matrix is not exactly symmetric")
+        raise ValueError(f"{name} is not exactly symmetric")
     return x
+
+
+def symmetric_matrix(data, name: str = "matrix") -> np.ndarray:
+    """A fresh C-ordered float64 copy of `data`, every bit kept, once it
+    passes `check_symmetric`; the ValueError names the operand `name`. C
+    order keeps BLAS sums over the result the same whatever layout `data`
+    had.
+    """
+    return check_symmetric(np.array(data, dtype=np.float64, order="C"), name)
 
 
 def symmetrize(x: np.ndarray) -> np.ndarray:

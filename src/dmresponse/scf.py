@@ -86,14 +86,14 @@ class BilinearKernel:
     Linear and symmetry-preserving by construction, and satisfies the
     exchange condition Tr[P G(Q)] = Tr[Q G(P)] that the response duality
     rests on. Each factor must pass `linalg.symmetric_matrix` (square,
-    finite, exactly symmetric; kept as given, never averaged) and both must
-    have one shape; ValueError otherwise.
+    finite, exactly symmetric; kept as given, never averaged), with a
+    ValueError that names it B or C, and both must have one shape.
     """
 
     name = "bilinear"
 
     def __init__(self, b: np.ndarray, c: np.ndarray):
-        self.b, self.c = symmetric_matrix(b), symmetric_matrix(c)
+        self.b, self.c = symmetric_matrix(b, "B"), symmetric_matrix(c, "C")
         if self.b.shape != self.c.shape:
             raise ValueError(f"kernel factors differ in shape: {self.b.shape} vs {self.c.shape}")
 
@@ -227,10 +227,11 @@ def scf_ground_state(
     """Self-consistent ground state of H_eff = H_core + G(D).
 
     H_core and S must pass `linalg.symmetric_matrix` (square, finite and
-    exactly symmetric; kept as given, never averaged), ValueError otherwise.
-    S, when given, must be positive definite; its Loewdin factor Z maps
-    every sweep to the orthonormal basis and back. Without S no factor is
-    made: ScfState.z is None and each sweep works on H_eff itself.
+    exactly symmetric; kept as given, never averaged), with a ValueError
+    that names the operand. S, when given, must be positive definite; its
+    Loewdin factor Z maps every sweep to the orthonormal basis and back.
+    Without S no factor is made: ScfState.z is None and each sweep works on
+    H_eff itself.
 
     Each sweep checks that H_eff(D) is finite (ValueError naming the kernel
     and the sweep otherwise) and builds the inner ground state of its
@@ -241,8 +242,8 @@ def scf_ground_state(
     Raises ConvergenceError with the residual history when MAX_ITERS sweeps
     do not get there.
     """
-    h_core = symmetric_matrix(h_core)
-    z = None if s is None else inverse_sqrt_factor(symmetric_matrix(s))
+    h_core = symmetric_matrix(h_core, "H_core")
+    z = None if s is None else inverse_sqrt_factor(symmetric_matrix(s, "S"))
     # spectral projection at zero temperature, Fermi smearing otherwise
     if cfg.beta_t is None:
 
@@ -300,7 +301,8 @@ def scf_response(state: ScfState, seed: np.ndarray) -> ScfResponse:
     when it is an observable.
 
     The seed must pass `linalg.symmetric_matrix` (exactly symmetric, never
-    averaged) and match the state's dimension; ValueError otherwise.
+    averaged) and match the state's dimension; ValueError otherwise, which
+    names the operand "seed".
 
     With L(x) = Z inner.forward(Z^T x Z) Z^T the derivative of the frozen
     inner ground state between the congruences with Z (without an overlap
@@ -310,7 +312,7 @@ def scf_response(state: ScfState, seed: np.ndarray) -> ScfResponse:
     EPS_SCF of y. Raises ConvergenceError with the residual history when
     MAX_ITERS applications do not get there.
     """
-    seed = symmetric_matrix(seed)
+    seed = symmetric_matrix(seed, "seed")
     if seed.shape != state.d0.shape:
         raise ValueError(f"dimension mismatch: {seed.shape} vs {state.d0.shape}")
     z = state.z

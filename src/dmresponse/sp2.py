@@ -16,11 +16,14 @@ or not at all. A run asked to store its iterates returns them, frozen, as an
 number of seeds run forward and any number of observables run backward by
 pair updates alone, with no square. One arithmetic kernel per storage or
 precision does the matrix work and alone knows the storage kind: it checks
-the operands, bounds the spectrum and gates converged runs. The dense and thresholded-sparse kernels live here;
-the sparse one makes its branch decisions from thresholded traces. Both
-accept only exactly symmetric operands. The dense kernel forms each pair
-update and each combination in place on the fresh product, tile by tile,
-with the arithmetic of the whole-matrix formulas (see
+the operands, bounds the spectrum and gates converged runs. The dense and
+thresholded-sparse kernels live here; the sparse one makes its branch
+decisions from thresholded traces. Every kernel holds h0, each seed and each
+observable, as given and uncopied, to the package's one operand rule:
+finite and exactly symmetric (`linalg.check_symmetric`, and its CSR form in
+`_SparseOps.check`), with a ValueError that names the operand. The dense
+kernel forms each pair update and each combination in place on the fresh
+product, tile by tile, with the arithmetic of the whole-matrix formulas (see
 `_DenseOps.pair_update`), and writes into nothing else: stored iterates and
 seeds are left as they are.
 
@@ -45,8 +48,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ConvergenceError
-from .linalg import SpectralBounds, gershgorin_bounds
-from .sparse import SparseMatrix, _canonical, check_symmetric, threshold
+from .linalg import SpectralBounds, check_symmetric, gershgorin_bounds
+from .sparse import SparseMatrix, _canonical, threshold
 
 MAX_ITERATIONS = 120
 
@@ -202,16 +205,14 @@ class _DenseOps:
         self.n = h0.shape[0]
 
     def check(self, m, name: str) -> None:
-        """Raise ValueError unless m is dense, of h0's dimension and exactly
+        """Raise ValueError unless m is dense, of h0's dimension and passes
+        `linalg.check_symmetric` as given, uncopied: finite and exactly
         symmetric (`pair_update` takes XY as (YX)^T)."""
         if isinstance(m, SparseMatrix):
             raise ValueError(f"{name} must be the same storage kind as h0")
         if m.shape != (self.n, self.n):
             raise ValueError(f"dimension mismatch: h0 is {self.n}, {name} has shape {m.shape}")
-        # NaN != NaN: a failing matrix is tested again with NaN equal to NaN,
-        # so a non-finite one reaches the spectral-bounds check
-        if not np.array_equal(m, m.T) and not np.array_equal(m, m.T, equal_nan=True):
-            raise ValueError(f"{name} is not exactly symmetric")
+        check_symmetric(m, name)
 
     def bounds(self, h0: np.ndarray) -> SpectralBounds:
         """Gershgorin's interval narrowed to h0's extreme eigenvalues.
@@ -352,13 +353,17 @@ class _SparseOps(_DenseOps):
         self.tol_hint = f"; the drop tolerance tau = {self.tau:.3e} may be too coarse for this system"
 
     def check(self, m, name: str) -> None:
-        """Raise ValueError unless m is sparse, of h0's dimension and exactly
-        symmetric."""
+        """Raise ValueError unless m is sparse, of h0's dimension, finite and
+        exactly symmetric: the CSR form of `linalg.check_symmetric`, with
+        its messages."""
         if not isinstance(m, SparseMatrix):
             raise ValueError(f"{name} must be the same storage kind as h0")
         if m.csr.shape != (self.n, self.n):
             raise ValueError(f"dimension mismatch: h0 is {self.n}, {name} has shape {m.csr.shape}")
-        check_symmetric(m, name)
+        if not np.isfinite(m.csr.data).all():
+            raise ValueError(f"{name} contains non-finite entries")
+        if (m.csr != m.csr.T).nnz:
+            raise ValueError(f"{name} is not exactly symmetric")
 
     def bounds(self, h0: SparseMatrix):
         return gershgorin_bounds(h0.csr)

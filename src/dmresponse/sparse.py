@@ -5,15 +5,15 @@ combination in the SP2 recursion is exactly symmetric: scipy's CSR product
 sums each entry in a fixed order, and with sorted column indices entries
 (i, j) and (j, i) of X@X, 2X - X^2 and P + P^T are the same sums in the same
 order. So `threshold` applies a plain elementwise drop (|x_ij| < tau) after
-each multiply-add, and that drop keeps the pattern symmetric. The SP2 entry
-point checks once that its sparse inputs are exactly symmetric, and
-`SparseMatrix` accepts only a finite, non-negative tau. `threshold` is the
-one drop rule: `sparsify` applies it to dense input that passes
-`linalg.symmetric_matrix`, the one check of a caller's dense matrix
-(square, non-empty, finite and exactly symmetric, never averaged), before
-anything is dropped. The sparse SP2 kernel bounds the spectrum by
-`linalg.gershgorin_bounds`, which takes the CSR array directly and needs no
-eigensolve.
+each multiply-add, and that drop keeps the pattern symmetric. The sparse SP2
+kernel checks once that each sparse operand is finite and exactly symmetric
+(`sp2._SparseOps.check`), and `SparseMatrix` accepts only a finite,
+non-negative tau. `threshold` is the one drop rule: `sparsify` applies it to
+dense input that passes `linalg.symmetric_matrix`, the one rule for a
+caller's dense matrix (square, non-empty, finite and exactly symmetric,
+never averaged), before anything is dropped. The sparse SP2 kernel bounds
+the spectrum by `linalg.gershgorin_bounds`, which takes the CSR array
+directly and needs no eigensolve.
 
 The arithmetic kernel is scipy's CSR matrix product, which is deterministic
 (fixed row order, fixed reduction order) so repeated runs are bit-identical.
@@ -95,12 +95,6 @@ def threshold(raw, tau: float) -> SparseMatrix:
     m.data = m.data.copy()
     m.indices = m.indices.copy()
     return SparseMatrix(m, tau)
-
-
-def check_symmetric(m: SparseMatrix, name: str) -> None:
-    """Raise ValueError unless the stored matrix equals its transpose exactly."""
-    if (m.csr != m.csr.T).nnz:
-        raise ValueError(f"sparse {name} is not exactly symmetric")
 
 
 def sparsify(x: np.ndarray, tau: float) -> SparseMatrix:

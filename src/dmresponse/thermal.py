@@ -17,7 +17,8 @@ expansions.
 
 Every matrix a caller hands in, h and the direction of a `canonical_*`
 response, must pass `linalg.symmetric_matrix` (square, finite and exactly
-symmetric; kept as given, never averaged); ValueError otherwise.
+symmetric; kept as given, never averaged); ValueError otherwise, naming
+the operand: h, h1 or a.
 `FermiGroundState.derivative` takes its seed as given: the self-consistent
 route builds each one exactly symmetric.
 """
@@ -125,7 +126,7 @@ def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float) -> FermiGround
     frozen as a FermiGroundState."""
     if not 0.0 < beta_t < math.inf:
         raise ValueError(f"inverse temperature beta_t must be finite and positive, got {beta_t}")
-    h = symmetric_matrix(h)
+    h = symmetric_matrix(h, "h")
     n = h.shape[0]
     if not 0.0 < n_occ < n:
         raise ValueError(f"n_occ must lie in (0, {n}), got {n_occ}")
@@ -201,7 +202,7 @@ def canonical_susceptibility(h: np.ndarray, a: np.ndarray, beta_t: float, n_occ:
 
     Returns (chi, mu1).
     """
-    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(symmetric_matrix(a))
+    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(symmetric_matrix(a, "a"))
 
 
 def canonical_dm_response(h: np.ndarray, h1: np.ndarray, beta_t: float, n_occ: float):
@@ -210,4 +211,4 @@ def canonical_dm_response(h: np.ndarray, h1: np.ndarray, beta_t: float, n_occ: f
 
     Returns (d1, mu1).
     """
-    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(symmetric_matrix(h1))
+    return _fermi_eigenbasis(h, beta_t, n_occ).derivative(symmetric_matrix(h1, "h1"))

@@ -55,6 +55,25 @@ class TestSymmetricMatrix:
         with pytest.raises(ValueError):
             symmetric_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            (np.zeros((2, 3)), "expected a square {}, got shape (2, 3)"),
+            (np.zeros((0, 0)), "{} dimension must be at least 1"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "{} contains non-finite entries"),
+            (np.array([[1.0, 2.0], [0.0, 3.0]]), "{} is not exactly symmetric"),
+        ],
+        ids=["nonsquare", "empty", "nonfinite", "asymmetric"],
+    )
+    def test_messages_name_the_operand(self, x, message):
+        # the default name keeps the messages that Matrix Market errors carry
+        with pytest.raises(ValueError) as exc:
+            symmetric_matrix(x)
+        assert str(exc.value) == message.format("matrix")
+        with pytest.raises(ValueError) as exc:
+            symmetric_matrix(x, "H_core")
+        assert str(exc.value) == message.format("H_core")
+
 
 class TestEigendecompose:
     def test_diagonal_input(self):

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,12 +175,37 @@ class TestGroundState:
         # the low-precision kernels share the dense kernel's checks
         with pytest.raises(ValueError, match="^seed is not exactly symmetric"):
             single_precision_pipeline(h, asym, n // 2)
-        # NaN != NaN, yet a symmetric h0 holding a NaN is refused for its
-        # spectral bounds, not for its symmetry
+        # NaN != NaN, yet a symmetric h0 holding a NaN is refused as
+        # non-finite, not as asymmetric
         nan = h.copy()
         nan[0, 0] = np.nan
-        with pytest.raises(ValueError, match="^spectral bounds"):
+        with pytest.raises(ValueError, match="^h0 contains non-finite entries$"):
             sp2_ground_state(nan, n // 2)
+
+
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+def test_routes_name_a_non_finite_operand(storage):
+    # the public routes reach the same check on each path
+    n, n_occ = 20, 10
+    h = gapped_random_hamiltonian(n, 1.6, n_occ, seed=1)
+    m = random_symmetric(np.random.default_rng(2), n)
+    m[3, 3] = np.nan
+    if storage == "sparse":
+        h, m = sparsify(h, 0.0), threshold(m, 0.0)
+    _, _, record = dm_perturbation_forward(h, h, n_occ)
+    _, _, expansion = susceptibility_backward(h, h, n_occ)
+    for call, name in (
+        (lambda: dm_perturbation_forward(h, m, n_occ), "seed"),
+        (lambda: dm_perturbation_forward(h, m, n_occ, trace=record), "seed"),
+        (lambda: susceptibility_forward(h, m, n_occ, trace=expansion), "seed"),
+        (lambda: susceptibility_backward(h, m, n_occ), "a"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries$"):
+            call()
+    if storage == "dense":
+        for pipeline in (single_precision_pipeline, mixed_response_pipeline):
+            with pytest.raises(ValueError, match="^seed contains non-finite entries$"):
+                pipeline(h, m, n_occ)
 
 
 class TestSparseGroundState:
@@ -561,3 +587,65 @@ class TestDenseTiles:
         expansion.backward(a)
         assert [_bits(m) for m in (*expansion.iterates, expansion.d0)] == stored
         assert [_bits(m) for m in (seed, a)] == operands
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestNonFiniteOperands:
+    """A NaN or inf operand is refused by name on every path of every
+    kernel: never returned as a non-finite response, never reported as an
+    asymmetry or as a binary16 rounding failure."""
+
+    n, n_occ = 20, 10
+
+    def operands(self, kernel, bad):
+        h = gapped_random_hamiltonian(self.n, 1.6, self.n_occ, seed=1)
+        m = random_symmetric(np.random.default_rng(2), self.n)
+        bad_h, bad_m = h.copy(), m.copy()
+        bad_h[3, 3] = bad_m[3, 3] = bad
+        if KERNELS[kernel][1] == "sparse":
+            # threshold keeps non-finite entries; sparsify would refuse them
+            h, bad_h, bad_m = (threshold(x, 0.0) for x in (h, bad_h, bad_m))
+        return h, bad_h, bad_m
+
+    def expand(self, kernel, h0, **kw):
+        return sp2._expand(h0, self.n_occ, ops=KERNELS[kernel][0](h0), **kw)
+
+    def test_h0(self, kernel, bad):
+        _, bad_h, _ = self.operands(kernel, bad)
+        with pytest.raises(ValueError, match="^h0 contains non-finite entries$"):
+            self.expand(kernel, bad_h)
+
+    def test_fresh_and_replayed_seed(self, kernel, bad):
+        h, _, bad_m = self.operands(kernel, bad)
+        with pytest.raises(ValueError, match="^seed contains non-finite entries$"):
+            self.expand(kernel, h, y_seed=bad_m)
+        _, _, record = self.expand(kernel, h)
+        with pytest.raises(ValueError, match="^seed contains non-finite entries$"):
+            self.expand(kernel, h, y_seed=bad_m, replay=record)
+
+    def test_stored_forward_and_backward(self, kernel, bad):
+        h, bad_h, bad_m = self.operands(kernel, bad)
+        _, _, expansion = self.expand(kernel, h, store=True)
+        with pytest.raises(ValueError, match="^seed contains non-finite entries$"):
+            expansion.forward(bad_m)
+        with pytest.raises(ValueError, match="^a contains non-finite entries$"):
+            expansion.backward(bad_m)
+        with pytest.raises(ValueError, match="^the given h0 contains non-finite entries$"):
+            expansion.check_source(bad_h, self.n_occ)
+
+
+@pytest.mark.parametrize("kernel", ["dense", "f32", "split16"])
+def test_dense_operand_check_copies_nothing(kernel):
+    # the check reads the operand in place: its peak allocation is a few
+    # boolean temporaries, below half a float64 copy
+    n = 300
+    h = gapped_random_hamiltonian(n, 1.0, n // 2, seed=1)
+    ops = KERNELS[kernel][0](h)
+    tracemalloc.start()
+    try:
+        ops.check(h, "h0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < h.nbytes // 2

@@ -3,9 +3,9 @@ import pytest
 
 from dmresponse.linalg import gershgorin_bounds
 from dmresponse.models import chain_diagonals, chain_hamiltonian
+from dmresponse.sp2 import _SparseOps
 from dmresponse.sparse import (
     SparseMatrix,
-    check_symmetric,
     from_diagonals,
     sparsify,
     threshold,
@@ -150,12 +150,14 @@ class TestThreshold:
 
 
 def test_check_symmetric(rng):
+    # the sparse SP2 kernel's operand rule
     x = sparsify(banded_symmetric(rng, 30), 0.0)
-    check_symmetric(x, "x")
+    ops = _SparseOps(x)
+    ops.check(x, "x")
     bumped = x.csr.copy()
     bumped[0, 1] = bumped[0, 1] + 1e-15
-    with pytest.raises(ValueError, match="not exactly symmetric"):
-        check_symmetric(SparseMatrix(bumped, 0.0), "x")
+    with pytest.raises(ValueError, match="^x is not exactly symmetric$"):
+        ops.check(SparseMatrix(bumped, 0.0), "x")
 
 
 def test_sp_gershgorin_matches_dense(rng):

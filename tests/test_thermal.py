@@ -60,20 +60,21 @@ class TestFermiMatrix:
                 canonical_susceptibility(h, np.eye(8), beta_t, 4.0)
 
     @pytest.mark.parametrize(
-        "call",
+        "call, name",
         [
-            lambda h, m: fermi_matrix_and_mu(one_ulp_asymmetric(h), 20.0, 4.0),
-            lambda h, m: canonical_dm_response(one_ulp_asymmetric(h), m, 20.0, 4.0),
-            lambda h, m: canonical_susceptibility(h, one_ulp_asymmetric(m), 20.0, 4.0),
-            lambda h, m: canonical_dm_response(h, one_ulp_asymmetric(m), 20.0, 4.0),
+            (lambda h, m: fermi_matrix_and_mu(one_ulp_asymmetric(h), 20.0, 4.0), "h"),
+            (lambda h, m: canonical_dm_response(one_ulp_asymmetric(h), m, 20.0, 4.0), "h"),
+            (lambda h, m: canonical_susceptibility(h, one_ulp_asymmetric(m), 20.0, 4.0), "a"),
+            (lambda h, m: canonical_dm_response(h, one_ulp_asymmetric(m), 20.0, 4.0), "h1"),
         ],
         ids=["h", "h_of_response", "a", "h1"],
     )
-    def test_rejects_one_ulp_asymmetry(self, rng, call):
+    def test_rejects_one_ulp_asymmetry(self, rng, call, name):
         # h is checked where it is eigendecomposed, so no triangle is read
-        # alone; a direction is checked before it is differentiated along
+        # alone; a direction is checked before it is differentiated along.
+        # The message names the operand.
         h = gapped_random_hamiltonian(8, 1.0, 4, seed=2)
-        with pytest.raises(ValueError, match="not exactly symmetric"):
+        with pytest.raises(ValueError, match=f"^{name} is not exactly symmetric$"):
             call(h, random_symmetric(rng, 8))
 
 
