@@ -108,7 +108,7 @@ def split(x: np.ndarray) -> SplitMatrix:
 @dataclass(frozen=True)
 class MixedPipelineResult:
     """Split-precision expansion outputs: ground state, response matrix
-    (None for a ground-state run), replayable branch record, and the
+    (None for a ground-state run), the run's Sp2Trace, and the
     elementary-product count."""
 
     d0: np.ndarray
@@ -175,9 +175,6 @@ class _F32Ops(_DenseOps):
         """No gate: a reduced-precision run misses the float64 limits by
         design, and its callers judge it against the float64 route
         (acceptance criterion 7)."""
-
-    def check_occupation(self, x, trace: Sp2Trace, hint: str) -> None:
-        """No occupation test on a replay either, for the same reason."""
 
 
 class _Split16Ops(_F32Ops):

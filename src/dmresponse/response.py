@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import symmetrize, trace_product
-from .sp2 import Sp2Expansion, Sp2Trace, _expand
+from .sp2 import Sp2Expansion, Sp2Trace, _expand, _ops_for
 
 
 def dm_perturbation_forward(h0, h1, n_occ, trace: Sp2Trace | None = None):
@@ -37,19 +37,22 @@ def dm_perturbation_forward(h0, h1, n_occ, trace: Sp2Trace | None = None):
 
     Runs the merged recursion: the ground-state iterate is generated on the
     fly (never stored as a sequence) while its directional derivative along
-    h1 evolves next to it, sharing every branch choice. Passing `trace`, the
-    record of an earlier run on the same h0 and n_occ, replays its branch
-    sequence and spectral bounds instead of re-deriving them. An
-    Sp2Expansion (see :func:`susceptibility_backward`) is not replayed: its
-    stored iterates give d1 by pair updates alone, once h0 and n_occ are
-    checked against it (ValueError for an expansion of another problem).
+    h1 evolves next to it, sharing every branch choice. A plain `trace`
+    (Sp2Trace), the record of an earlier run, lends its spectral bounds, so
+    none are computed; the branches and the stop step are derived as in a
+    fresh run. A run that reproduces the record bit for bit (the same h0
+    and n_occ) is not gated again; any other run is gated like a fresh one.
+    An Sp2Expansion (see :func:`susceptibility_backward`) is not run again:
+    its stored iterates give d1 by pair updates alone, once h0 and n_occ
+    are checked against it (ValueError for an expansion of another
+    problem).
 
     Returns (d0, d1, trace).
     """
     if isinstance(trace, Sp2Expansion):
         trace.check_source(h0, n_occ)
         return trace.d0, trace.forward(h1), trace
-    return _expand(h0, n_occ, y_seed=h1, replay=trace)
+    return _expand(h0, n_occ, y_seed=h1, record=trace)
 
 
 def susceptibility_forward(h0, a, n_occ, trace: Sp2Trace | None = None):
@@ -71,13 +74,15 @@ def susceptibility_backward(h0, a, n_occ):
     iterate sequence (m_steps matrices; for an N x N dense run the peak
     storage is m_steps * N^2 floats, recoverable from the returned trace).
     The derivative-scale factor is applied to the result rather than the
-    seed. A is checked once the expansion has run.
+    seed. A is checked by the run's kernel before the expansion runs.
 
     Returns (d0, chi, expansion): the returned Sp2Expansion holds the stored
     iterates, and passed as `trace` to either forward route it serves that
     route's seed without a second ground-state run.
     """
-    _, _, expansion = _expand(h0, n_occ, store=True)
+    ops = _ops_for(h0)
+    ops.check(a, "a")
+    _, _, expansion = _expand(h0, n_occ, store=True, ops=ops)
     return expansion.d0, expansion.backward(a), expansion
 
 

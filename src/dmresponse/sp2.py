@@ -6,8 +6,10 @@ transform, then driven to {0, 1} by the recursion
     X_{n+1} = (1 - sigma_n) X_n + sigma_n X_n^2,   sigma_n = +/-1,
 
 with each sigma_n picked so the trace of X_{n+1} lands as close as possible
-to the target occupation. The full branch record (Sp2Trace) is returned so
-any derivative expansion can replay the identical sequence.
+to the target occupation. Each run returns its record (Sp2Trace). Passed to
+a later run, a plain record lends only its spectral bounds: that run picks
+its branches and its stop step by the same rule as any other, is not gated
+again if it reproduces the record, and is gated otherwise.
 
 `_expand` is the one place that runs the recursion, differentiated
 forward (a derivative iterate seeded with a perturbation or an observable)
@@ -92,7 +94,12 @@ _TILE = 128
 
 @dataclass(frozen=True)
 class Sp2Trace:
-    """Record of one ground-state expansion, sufficient to replay it.
+    """Record of one ground-state expansion.
+
+    Passed as `record` to `_expand`, it lends its spectral bounds and
+    nothing else. A run at its n_occ that reproduces its sigmas and
+    idempotency log bit for bit repeated the recorded run and is not gated
+    again; any other run (another n_occ, another h0) is gated.
 
     sigmas : branch choices, one per applied recursion step.
     idempotency_log : per-step |Tr[X_n^2 - X_n]| of the iterate each step
@@ -126,14 +133,14 @@ class Sp2Trace:
 class Sp2Expansion(Sp2Trace):
     """A ground-state expansion frozen with its iterates.
 
-    The record of the run, which replays as any Sp2Trace does, plus the
-    run's arithmetic kernel `ops`, the iterates X_0 .. X_{m-1} its steps
-    consumed and the final iterate `d0`: m_steps * N^2 floats for a dense
-    run, besides D0. Built by `_expand(..., store=True)`.
+    The record of the run plus its arithmetic kernel `ops`, the iterates
+    X_0 .. X_{m-1} its steps consumed and the final iterate `d0`: m_steps *
+    N^2 floats for a dense run, besides D0. Built by `_expand(...,
+    store=True)`.
 
     `forward(seed)` and `backward(a)` differentiate the frozen expansion
     with one pair update per step and no square. `forward` returns bit for
-    bit the derivative a fresh or replayed run with that seed returns.
+    bit the derivative a fresh run with that seed returns.
     """
 
     ops: object = field(repr=False)
@@ -142,10 +149,13 @@ class Sp2Expansion(Sp2Trace):
 
     def check_source(self, h0, n_occ: int) -> None:
         """Raise ValueError unless this expansion was built from h0 at n_occ:
-        the replay's n_occ rule, then an exact O(N^2) comparison of h0's
-        seed with the stored X_0."""
+        its n_occ, then an exact O(N^2) comparison of h0's seed with the
+        stored X_0. An expansion is never run again: its stored iterates
+        serve each seed, so it must belong to the problem. A plain
+        Sp2Trace has no such check; it lends only its bounds to a run that
+        is gated unless it reproduces the record."""
         if n_occ != self.n_occ:
-            raise ValueError(f"the replayed record targets n_occ = {self.n_occ}, got {n_occ}")
+            raise ValueError(f"the stored expansion targets n_occ = {self.n_occ}, got {n_occ}")
         self.ops.check(h0, "the given h0")
         if not self.ops.same(self.ops.seed(self.alpha, self.beta_spec, h0), self.iterates[0]):
             raise ValueError("the expansion was built from another h0")
@@ -201,14 +211,18 @@ class _DenseOps:
     idempotency_tol = IDEMPOTENCY_TOL
     tol_hint = ""
 
-    def __init__(self, h0: np.ndarray):
-        self.n = h0.shape[0]
+    def __init__(self, h0):
+        """Every kernel is built here, from h0 in either storage kind; `check`
+        then holds h0 to this kernel's own."""
+        if not isinstance(h0, (np.ndarray, SparseMatrix)):
+            raise ValueError(f"h0 must be an ndarray or a SparseMatrix, got {type(h0).__name__}")
+        self.n = h0.dim if isinstance(h0, SparseMatrix) else h0.shape[0]
 
     def check(self, m, name: str) -> None:
-        """Raise ValueError unless m is dense, of h0's dimension and passes
-        `linalg.check_symmetric` as given, uncopied: finite and exactly
-        symmetric (`pair_update` takes XY as (YX)^T)."""
-        if isinstance(m, SparseMatrix):
+        """Raise ValueError unless m is an ndarray, of h0's dimension and
+        passes `linalg.check_symmetric` as given, uncopied: finite and
+        exactly symmetric (`pair_update` takes XY as (YX)^T)."""
+        if not isinstance(m, np.ndarray):
             raise ValueError(f"{name} must be the same storage kind as h0")
         if m.shape != (self.n, self.n):
             raise ValueError(f"dimension mismatch: h0 is {self.n}, {name} has shape {m.shape}")
@@ -297,21 +311,16 @@ class _DenseOps:
     def idempotency_residual(self, x, x2) -> float:
         return float(np.linalg.norm(x2 - x))
 
-    def check_occupation(self, x, trace: Sp2Trace, hint: str) -> None:
-        """Reject an iterate whose trace misses the occupation: O(N), no
-        product."""
+    def gate(self, x, trace: Sp2Trace) -> None:
+        """Reject a converged run whose iterate misses the occupation or is
+        not idempotent."""
         tr_err = abs(self.trace(x) - trace.n_occ)
         if tr_err > self.trace_tol:
             raise ConvergenceError(
                 f"SP2 occupation error |Tr[D] - N_occ| = {tr_err:.3e} exceeds "
-                f"{self.trace_tol:.3e}{hint}",
+                f"{self.trace_tol:.3e}{self.tol_hint}",
                 trace.idempotency_log,
             )
-
-    def gate(self, x, trace: Sp2Trace) -> None:
-        """Reject a converged run whose iterate misses the occupation or is
-        not idempotent."""
-        self.check_occupation(x, trace, self.tol_hint)
         idem = self.idempotency_residual(x, self.square(x))
         if idem > self.idempotency_tol:
             raise ConvergenceError(
@@ -345,7 +354,7 @@ class _SparseOps(_DenseOps):
     overlap_pair_update = True
 
     def __init__(self, h0: SparseMatrix):
-        self.n = h0.dim
+        super().__init__(h0)
         self.tau = h0.tau
         scale = self.tau * math.sqrt(self.n)
         self.trace_tol = max(TRACE_TOL, scale)
@@ -415,13 +424,13 @@ def _joined(y):
     return y.result() if isinstance(y, Future) else y
 
 
-def _expand(h0, n_occ, y_seed=None, replay=None, store=False, ops=None):
+def _expand(h0, n_occ, y_seed=None, record=None, store=False, ops=None):
     """Run the SP2 recursion, optionally differentiated in one direction.
 
     `ops` is the arithmetic kernel; it defaults to the dense or sparse one
     matching h0 (the low-precision kernels live in `mixedprec`). The kernel
-    checks h0 and `y_seed`, and gates every fresh run (see
-    `_DenseOps.gate`).
+    checks h0 and `y_seed`, and gates every run that does not reproduce
+    `record` (see `_DenseOps.gate`).
 
     Returns (x_final, y_final, trace). With `y_seed` the derivative iterate
     evolves forward next to the ground-state iterate; without it y_final is
@@ -430,20 +439,20 @@ def _expand(h0, n_occ, y_seed=None, replay=None, store=False, ops=None):
     differentiates the frozen run in any direction, forward or backward, by
     pair updates alone. Without it nothing is stored.
 
-    With `replay` (an earlier run's Sp2Trace) its bounds and branch
-    sequence are consumed verbatim instead of re-derived, which reproduces
-    that run bit for bit. The record must target `n_occ` (ValueError), and
-    the replayed iterate must pass the kernel's O(N) occupation test
-    (ConvergenceError), which a record of another h0 fails.
+    A `record` (an earlier run's Sp2Trace) lends its spectral bounds, so no
+    bounds are computed; the branches and the stop step are derived as in
+    any run. A run at the record's n_occ whose sigmas and idempotency log
+    equal the record's bit for bit repeated the recorded run, which was
+    gated when it ran fresh, so it is not gated again; any other run, for
+    another n_occ or another h0, is.
 
-    A fresh run that reaches idempotency appends a two-step trace-neutral
-    tail (branches +1 then -1) to its branch plan and finishes it as a
-    replay would. At idempotency both branches leave the iterate fixed and
-    preserve the occupied-virtual blocks of the derivative iterate, while
-    their product annihilates its same-band blocks; without the tail a run
-    whose very first iterate is already idempotent would return the raw
-    seed as the derivative, which is wrong for any direction commuting with
-    h0.
+    A run that reaches idempotency appends a two-step trace-neutral tail
+    (branches +1 then -1). At idempotency both branches leave the iterate
+    fixed and preserve the occupied-virtual blocks of the derivative
+    iterate, while their product annihilates its same-band blocks; without
+    the tail a run whose very first iterate is already idempotent would
+    return the raw seed as the derivative, which is wrong for any direction
+    commuting with h0.
     """
     ops = ops or _ops_for(h0)
     for m, name in ((h0, "h0"), (y_seed, "seed")):
@@ -452,9 +461,7 @@ def _expand(h0, n_occ, y_seed=None, replay=None, store=False, ops=None):
     n = ops.n
     if not 1 <= n_occ <= n - 1:
         raise ValueError(f"n_occ must lie in [1, {n - 1}], got {n_occ}")
-    if replay is not None and replay.n_occ != n_occ:
-        raise ValueError(f"the replayed record targets n_occ = {replay.n_occ}, got {n_occ}")
-    bounds = ops.bounds(h0) if replay is None else replay.bounds
+    bounds = ops.bounds(h0) if record is None else record.bounds
     alpha, beta = _init_scalars(bounds)
 
     x = ops.seed(alpha, beta, h0)
@@ -463,7 +470,7 @@ def _expand(h0, n_occ, y_seed=None, replay=None, store=False, ops=None):
     stall_ceiling = ops.idempotency_tol * math.sqrt(n)
     target = float(n_occ)
 
-    plan = None if replay is None else replay.sigmas
+    tail = 0  # steps taken of the trace-neutral tail
     sigmas: list[int] = []
     log: list[float] = []
     stored: list = []
@@ -472,20 +479,18 @@ def _expand(h0, n_occ, y_seed=None, replay=None, store=False, ops=None):
     if y is not None and ops.overlap_pair_update:
         lane = ThreadPoolExecutor(max_workers=1, thread_name_prefix="sp2-pair-update")
     try:
-        while plan is None or len(sigmas) < len(plan):
+        while tail < 2:
             x2 = ops.square(x)
             tr_x = ops.trace(x)
             tr_x2 = ops.trace(x2)
             log.append(abs(tr_x2 - tr_x))
-            if plan is not None:
-                sigma = plan[len(sigmas)]
-            elif log[-1] <= floor or (
+            if tail or log[-1] <= floor or (
                 len(log) >= 3 and stall_ceiling >= log[-1] >= log[-2] >= log[-3]
             ):
                 # the first tail step reuses this square, so the per-step
                 # multiply count stays uniform
-                plan = (*sigmas, 1, -1)
-                sigma = 1
+                sigma = -1 if tail else 1
+                tail += 1
             elif len(sigmas) == MAX_ITERATIONS:
                 raise ConvergenceError(
                     f"{ops.name} did not converge within {MAX_ITERATIONS} iterations "
@@ -514,15 +519,16 @@ def _expand(h0, n_occ, y_seed=None, replay=None, store=False, ops=None):
             # waits for an update still in flight, so no thread outlives the run
             lane.shutdown()
 
-    record = {"sigmas": tuple(sigmas), "idempotency_log": tuple(log), "bounds": bounds, "n_occ": n_occ}
+    run = {"sigmas": tuple(sigmas), "idempotency_log": tuple(log), "bounds": bounds, "n_occ": n_occ}
     if store:
-        trace = Sp2Expansion(**record, ops=ops, iterates=tuple(stored), d0=x)
+        trace = Sp2Expansion(**run, ops=ops, iterates=tuple(stored), d0=x)
     else:
-        trace = Sp2Trace(**record)
-    if replay is None:
+        trace = Sp2Trace(**run)
+    # a run for another occupation that took the recorded path would end on
+    # the record's occupation, so n_occ is part of the path
+    path = (trace.sigmas, trace.idempotency_log, trace.n_occ)
+    if record is None or (record.sigmas, record.idempotency_log, record.n_occ) != path:
         ops.gate(x, trace)
-    else:
-        ops.check_occupation(x, trace, "; the replayed record does not belong to this h0")
     return x, y, trace
 
 
@@ -541,7 +547,7 @@ def sp2_ground_state(h0, n_occ: int):
     Returns
     -------
     (d0, trace) : density matrix of the same kind as h0, and the Sp2Trace
-    needed to replay the expansion for derivative calculations.
+    of the run, which a later run on the same h0 may take as its record.
     """
     x, _, trace = _expand(h0, n_occ)
     return x, trace

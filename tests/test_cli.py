@@ -403,6 +403,24 @@ class TestRespond:
         assert 1 <= results["scf_iterations"] <= 30
         assert all(d <= 1e-9 for d in results["duality_deviations"].values())
 
+    def test_zero_kernel_is_the_bare_problem(self, tmp_path):
+        # the ground state takes three sweeps, each response two derivative
+        # applications (see scf.ZeroKernel)
+        argv = ["respond", "--kind", "gapped_random", "--size", "16", "--kernel", "zero"]
+        code, rep = run_cli(argv, tmp_path)
+        assert code == 0 and rep["error"] is None
+        results = rep["results"]
+        assert results["route"] == "scf" and results["scf_iterations"] == 3
+        assert results["response_iterations"] == {"a1_direct": 2, "a1_dual_forward": 2}
+
+    def test_report_without_out_goes_to_stdout(self, tmp_path, capsys):
+        argv = ["respond", "--kind", "chain", "--size", "12"]
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["error"] is None and printed["inputs"]["out"] is None
+        _, written = run_cli(argv, tmp_path)
+        assert printed["results"] == written["results"]
+
     def test_thermal_route_decomposes_once(self, tmp_path, monkeypatch):
         from dmresponse import linalg, scf, thermal
 
@@ -513,6 +531,10 @@ class TestErrorPaths:
             ["ground-state", *gen, "--gap", "4"],
             ["audit", *gen, "--gap", "4"],
             ["benchmark", "--kind", "gapped_random", "--sizes", "20", "--gap", "4"],
+            ["benchmark", "--sizes", "a,b"],
+            ["respond", "--kind", "chain"],
+            ["respond", *chain, "--kernel", "hartree:1"],
+            ["respond", *chain, "--kernel", "hubbard:strong"],
         ]:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
@@ -662,6 +684,17 @@ class TestErrorPaths:
         rep = json.loads(out.read_text())
         assert rep["error"] is not None
         assert rep["error"]["type"] in ("ConvergenceError", "ValueError")
+
+    def test_failed_run_reports_its_residual_tail(self, tmp_path):
+        # degenerate at the occupation: the levels 1, 1 straddle N_occ = 2
+        write_matrix_market(tmp_path / "h.mtx", np.diag([0.0, 1.0, 1.0, 2.0]))
+        code, rep = run_cli(["respond", "--h0", str(tmp_path / "h.mtx"), "--nocc", "2"], tmp_path)
+        assert code == 1
+        error = rep["error"]
+        assert error["type"] == "ConvergenceError"
+        assert error["message"].startswith("SP2 did not converge within 120 iterations")
+        tail = error["residual_tail"]
+        assert len(tail) == 5 and all(0.0 < v <= 0.5 for v in tail)
 
     def test_overflowing_spectral_bounds_exit_1(self, tmp_path):
         # finite entries, but a spectral width beyond the float64 range

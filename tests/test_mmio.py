@@ -81,6 +81,16 @@ def test_comments_and_blank_lines_skipped(tmp_path):
         ("%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0 2.0\n1 1 1\n", 3),
         # 1e-12 off symmetric is an error at the size line, not noise to average
         ("%%MatrixMarket matrix array real general\n% c\n2 2\n1\n0.5\n0.500000000001\n1\n", 3),
+        ("%%MatrixMarket matrix array real\n1 1\n1\n", 1),
+        ("%%MatrixMarket vector array real general\n1 1\n1\n", 1),
+        ("%%MatrixMarket matrix array real symmetric\n1 1\n1\n", 1),
+        ("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1\n", 1),
+        ("%%MatrixMarket matrix array real general\n1 1 1\n1\n", 2),
+        ("%%MatrixMarket matrix coordinate real symmetric\n% c\n1 1\n", 3),
+        ("%%MatrixMarket matrix array real general\n2 two\n1\n0\n0\n1\n", 2),
+        ("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 1\n2 1 half\n", 4),
+        ("", 1),
+        ("%%MatrixMarket matrix array real general\n% c\n\n", 3),
     ],
 )
 def test_malformed_files_report_line(tmp_path, content, line_no):
@@ -289,6 +299,13 @@ def test_writer_round_trips_edge_values(tmp_path, rng):
     assert isinstance(back, SparseMatrix)
     for part in ("indptr", "indices", "data"):
         assert getattr(back.csr, part).tobytes() == getattr(sm.csr, part).tobytes(), part
+
+
+def test_writer_rejects_a_non_square_array(tmp_path):
+    p = tmp_path / "x.mtx"
+    with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+        write_matrix_market(p, np.zeros((2, 3)))
+    assert not p.exists()
 
 
 @pytest.mark.parametrize("sparse", [False, True])

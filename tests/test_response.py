@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dmresponse import sp2
-from dmresponse.exceptions import ConvergenceError
 from dmresponse.linalg import (
     inverse_sqrt_factor,
     sym_eigendecompose,
@@ -73,22 +72,53 @@ class TestDmPerturbationForward:
         assert tr2.sigmas == tr.sigmas
         assert np.array_equal(d0, d_ref)
 
-    def test_replay_rejects_a_record_of_another_problem(self, rng):
-        a = gapped_random_hamiltonian(60, 1.0, 30, seed=1)
+    def test_a_record_of_another_problem_lends_only_its_bounds(self, rng, monkeypatch):
+        h0 = gapped_random_hamiltonian(60, 1.0, 30, seed=1)
         h1 = random_symmetric(rng, 60)
-        _, _, tr = dm_perturbation_forward(a, h1, 30)
-        # the record targets another occupation
-        with pytest.raises(ValueError, match="replayed record targets n_occ = 30, got 20"):
-            dm_perturbation_forward(a, h1, 20, trace=tr)
-        # another spectrum of the same dimension, and another dimension: the
-        # replayed branches land on Tr D0 = 20 and 40
-        other = gapped_random_hamiltonian(60, 1.0, 20, seed=3)
-        larger = gapped_random_hamiltonian(80, 1.0, 40, seed=4)
-        for h0 in (other, larger):
-            seed = random_symmetric(rng, h0.shape[0])
-            with pytest.raises(ConvergenceError, match="does not belong to this h0") as exc:
-                dm_perturbation_forward(h0, seed, 30, trace=tr)
-            assert len(exc.value.history) == tr.m_steps
+        _, _, record = dm_perturbation_forward(h0, h1, 30)
+        gated = []
+        real_gate = sp2._DenseOps.gate
+
+        def gate(self, x, trace):
+            gated.append(trace.n_occ)
+            real_gate(self, x, trace)
+
+        monkeypatch.setattr(sp2._DenseOps, "gate", gate)
+        # another occupation: the gated n_occ = 20 ground state, bit for bit
+        # the fresh run's (the record's bounds are h0's own)
+        d0, d1, trace = dm_perturbation_forward(h0, h1, 20, trace=record)
+        fresh_d0, fresh_d1, fresh_trace = dm_perturbation_forward(h0, h1, 20)
+        assert gated == [20, 20]
+        assert trace == fresh_trace
+        assert d0.tobytes() == fresh_d0.tobytes() and d1.tobytes() == fresh_d1.tobytes()
+        assert np.linalg.norm(d0 @ d0 - d0) <= 1e-7 and abs(np.trace(d0) - 20) <= 1e-8
+
+        # another h0: its HOMO and LUMO sit where the record's polynomial
+        # gives 0.7 and 0.3, so the recorded branches would end on the exact
+        # occupation with ||D^2 - D||_F = 0.297
+        def recorded_polynomial(eps):
+            x = record.alpha + record.beta_spec * eps
+            for sigma in record.sigmas:
+                x = x * x if sigma == 1 else 2.0 * x - x * x
+            return x
+
+        def level(value):
+            # the polynomial decreases across the bounds
+            lo, hi = record.bounds.eps_min, record.bounds.eps_max
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if recorded_polynomial(mid) > value else (lo, mid)
+            return 0.5 * (lo + hi)
+
+        eig = sym_eigendecompose(h0)
+        values = eig.values.copy()
+        values[29], values[30] = level(0.7), level(0.3)
+        other = symmetrize((eig.vectors * values) @ eig.vectors.T)
+        gated.clear()
+        d0, _, trace = dm_perturbation_forward(other, h1, 30, trace=record)
+        assert gated == [30] and trace.bounds == record.bounds
+        assert np.linalg.norm(d0 @ d0 - d0) <= 1e-7
+        assert abs(np.trace(d0) - 30) <= 1e-8
 
 
 class TestSusceptibilityForward:
@@ -130,6 +160,31 @@ class TestSusceptibilityBackward:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         _, chi, _ = susceptibility_backward(h0, a, 1)
         np.testing.assert_allclose(chi, np.array([[0.0, -0.5], [-0.5, 0.0]]), atol=1e-10)
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_observable_checked_before_any_square(self, rng, monkeypatch, storage):
+        h0, a, _, n_occ = _problem(storage, rng)
+        squares = []
+        for ops in (sp2._DenseOps, sp2._SparseOps):
+
+            def square(self, x, _real=ops.square):
+                squares.append(x)
+                return _real(self, x)
+
+            monkeypatch.setattr(ops, "square", square)
+        if storage == "sparse":
+            bad = SparseMatrix(a.csr.copy(), a.tau)
+            bad.csr.data[0] = np.nan
+        else:
+            bad = a.copy()
+            bad[3, 3] = np.nan
+        with pytest.raises(ValueError, match="^a contains non-finite entries$"):
+            susceptibility_backward(h0, bad, n_occ)
+        assert squares == []
+        # the spy counts the squares of a run that goes ahead: one per step
+        # and the gate's
+        _, _, expansion = susceptibility_backward(h0, a, n_occ)
+        assert len(squares) == expansion.m_steps + 1
 
     def test_agrees_with_forward(self, rng):
         n, n_occ = 30, 14
@@ -192,7 +247,7 @@ class TestStoredExpansion:
         _, chi_b, _ = susceptibility_backward(h0, a, n_occ)
         # an expansion stored by replaying a forward run's record
         _, _, trace = dm_perturbation_forward(h0, h1, n_occ)
-        _, _, expansion = sp2._expand(h0, n_occ, replay=trace, store=True)
+        _, _, expansion = sp2._expand(h0, n_occ, record=trace, store=True)
         assert _bits(expansion.backward(a)) == _bits(chi_b)
         # using the expansion leaves it unchanged
         _, d1, _ = dm_perturbation_forward(h0, h1, n_occ)
@@ -264,6 +319,11 @@ class TestZPositionDerivative:
         fd = (inverse_sqrt_factor(s + h * s_tau) - inverse_sqrt_factor(s - h * s_tau)) / (2 * h)
         assert np.max(np.abs(out - fd)) <= 1e-4
 
+    def test_dimension_mismatch_rejected(self):
+        mismatch = r"^dimension mismatch: \(3, 3\) vs \(3, 3\) vs \(2, 2\)$"
+        with pytest.raises(ValueError, match=mismatch):
+            z_position_derivative(np.eye(3), np.zeros((3, 3)), np.eye(2))
+
 
 class TestOrthogonalHamiltonianDerivative:
     def test_identity_frame(self, rng):
@@ -292,6 +352,11 @@ class TestOrthogonalHamiltonianDerivative:
         fd = (transformed(h) - transformed(-h)) / (2 * h)
         assert np.max(np.abs(out - fd)) <= 1e-4
 
+    def test_dimension_mismatch_rejected(self):
+        eye, small = np.eye(4), np.eye(3)
+        with pytest.raises(ValueError, match="^dimension mismatch between H, H_tau, Z, Z_tau$"):
+            orthogonal_hamiltonian_derivative(eye, eye, eye, small)
+
 
 class TestObservablePositionDerivative:
     def test_orthonormal_limit(self, rng):
@@ -317,6 +382,12 @@ class TestObservablePositionDerivative:
         zero = np.zeros((n, n))
         out = observable_position_derivative(a, zero, d, np.eye(n), zero, zero, zero)
         assert out == 0.0
+
+    def test_dimension_mismatch_rejected(self):
+        eye, zero = np.eye(4), np.zeros((4, 4))
+        mismatch = "^dimension mismatch among A, A_tau, D, S_inv, S_tau$"
+        with pytest.raises(ValueError, match=mismatch):
+            observable_position_derivative(eye, zero, np.eye(3), eye, zero, zero, zero)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_matches_end_to_end_finite_difference(self, k):

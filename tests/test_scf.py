@@ -82,6 +82,22 @@ class TestKernels:
             BilinearKernel(b, random_symmetric(rng, 4))
 
 
+    def test_apply_kernel_checks_shapes(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            apply_kernel(ZeroKernel(), np.zeros((2, 3)))
+
+        class Truncating:
+            name = "truncating"
+
+            def apply(self, x):
+                return x[:-1, :-1]
+
+        with pytest.raises(
+            ValueError, match=r"^kernel 'truncating' returned shape \(3, 3\) for input \(4, 4\)$"
+        ):
+            apply_kernel(Truncating(), np.eye(4))
+
+
 class TestScfGroundState:
     def test_zero_kernel_single_pass(self):
         n, n_occ = 12, 6
@@ -150,6 +166,13 @@ class TestScfResponse:
         d1_scf = res.response
         _, d1_bare, _ = dm_perturbation_forward(h, h1, n_occ)
         assert np.linalg.norm(d1_scf - d1_bare) <= 1e-12 * max(1.0, np.linalg.norm(d1_bare))
+
+    def test_seed_of_another_dimension_rejected(self, rng):
+        n, n_occ = 8, 4
+        h = gapped_random_hamiltonian(n, 1.0, n_occ, seed=86)
+        state = scf_ground_state(h, None, hubbard(0.1), n_occ)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: \(7, 7\) vs \(8, 8\)$"):
+            scf_response(state, random_symmetric(rng, n - 1))
 
     def test_zero_perturbation(self, rng):
         n, n_occ = 8, 4

@@ -206,6 +206,21 @@ def test_routes_name_a_non_finite_operand(storage):
         for pipeline in (single_precision_pipeline, mixed_response_pipeline):
             with pytest.raises(ValueError, match="^seed contains non-finite entries$"):
                 pipeline(h, m, n_occ)
+        # an h0 that is neither an ndarray nor a SparseMatrix is named where
+        # every kernel is built, before any shape is read
+        nested = h.tolist()
+        named = "^h0 must be an ndarray or a SparseMatrix, got list$"
+        for call in (
+            lambda: sp2_ground_state(nested, n_occ),
+            lambda: dm_perturbation_forward(nested, h, n_occ),
+            lambda: single_precision_pipeline(nested, h, n_occ),
+            lambda: mixed_response_pipeline(nested, h, n_occ),
+        ):
+            with pytest.raises(ValueError, match=named):
+                call()
+        # and a seed that is not an ndarray is not of h0's storage kind
+        with pytest.raises(ValueError, match="^seed must be the same storage kind as h0$"):
+            dm_perturbation_forward(h, nested, n_occ)
 
 
 class TestSparseGroundState:
@@ -332,9 +347,9 @@ class TestDerivativeLane:
         xi, yi, trace_i = sp2._expand(hs, n_occ, y_seed=h1, ops=_InlineSparseOps(hs))
         assert trace == trace_i
         assert _same_bits(x, xi) and _same_bits(y, yi)
-        xr, yr, trace_r = sp2._expand(hs, n_occ, y_seed=h1, replay=trace)
+        xr, yr, trace_r = sp2._expand(hs, n_occ, y_seed=h1, record=trace)
         xri, yri, trace_ri = sp2._expand(
-            hs, n_occ, y_seed=h1, replay=trace, ops=_InlineSparseOps(hs)
+            hs, n_occ, y_seed=h1, record=trace, ops=_InlineSparseOps(hs)
         )
         assert trace_r == trace_ri
         assert _same_bits(xr, xri) and _same_bits(yr, yri)
@@ -464,7 +479,7 @@ class TestEngineBoundary:
         n_occ = n // 2
         fresh_ops, replay_ops = ops(h), ops(h)
         x, y, trace = sp2._expand(h, n_occ, y_seed=seed, ops=fresh_ops)
-        xr, yr, trace_r = sp2._expand(h, n_occ, y_seed=seed, replay=trace, ops=replay_ops)
+        xr, yr, trace_r = sp2._expand(h, n_occ, y_seed=seed, record=trace, ops=replay_ops)
         # sigmas, idempotency log, bounds and occupation
         assert trace_r == trace
         assert _bits(xr) == _bits(x) and _bits(yr) == _bits(y)
@@ -489,7 +504,7 @@ class TestEngineBoundary:
             per_pair = 1 if kernel == "f32" else 3
             assert store_ops.mult_count - products == per_pair * trace.m_steps
 
-    def test_gate_runs_once_per_fresh_run_never_on_replay(self, monkeypatch):
+    def test_gate_runs_once_per_fresh_run_never_on_a_reproduced_record(self, monkeypatch):
         gated = []
         real_gate = sp2._DenseOps.gate
 
@@ -515,6 +530,22 @@ class TestEngineBoundary:
         single_precision_pipeline(h, m, 16)
         mixed_response_pipeline(h, m, 16)
         assert gated == []
+
+    @pytest.mark.parametrize("storage", ["dense", "sparse"])
+    def test_gate_rejects_a_residual_above_the_idempotency_limit(self, monkeypatch, storage):
+        # the occupation half of the gate passes; a limit no residual meets
+        # leaves the idempotency half to reject the run
+        n = 40
+        h = gapped_random_hamiltonian(n, 1.0, n // 2, seed=1)
+        if storage == "sparse":
+            h = sparsify(h, 0.0)
+        ops = sp2._ops_for(h)
+        monkeypatch.setattr(ops, "idempotency_tol", 1e-20)
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^SP2 idempotency residual \|\|D\^2 - D\|\|_F = .* exceeds 1\.000e-20",
+        ):
+            sp2._expand(h, n // 2, ops=ops)
 
 
 def _one_line_pair_update(sigma, y, x):
@@ -622,7 +653,7 @@ class TestNonFiniteOperands:
             self.expand(kernel, h, y_seed=bad_m)
         _, _, record = self.expand(kernel, h)
         with pytest.raises(ValueError, match="^seed contains non-finite entries$"):
-            self.expand(kernel, h, y_seed=bad_m, replay=record)
+            self.expand(kernel, h, y_seed=bad_m, record=record)
 
     def test_stored_forward_and_backward(self, kernel, bad):
         h, bad_h, bad_m = self.operands(kernel, bad)

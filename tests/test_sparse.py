@@ -7,6 +7,7 @@ from dmresponse.sp2 import _SparseOps
 from dmresponse.sparse import (
     SparseMatrix,
     from_diagonals,
+    sp_trace_product,
     sparsify,
     threshold,
 )
@@ -190,3 +191,6 @@ def test_sparse_matrix_helpers(rng):
     assert sm.dim == 10
     assert np.isclose(sm.trace(), np.trace(x))
     assert sm.max_nnz_per_row() <= 10
+    assert np.isclose(sp_trace_product(sm, sm), np.sum(x * x))
+    with pytest.raises(ValueError, match="^dimension mismatch: 10 vs 9$"):
+        sp_trace_product(sm, sparsify(x[:-1, :-1], 0.0))
