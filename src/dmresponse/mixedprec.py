@@ -123,7 +123,7 @@ PIPELINE_MODES = ("perturbation", "susceptibility")
 class _F32Ops(_DenseOps):
     """Single-precision `_expand` kernel: float32 iterates, one plain float32
     multiply per square and per symmetrized pair (2 per step). The input
-    checks and spectral bounds are the dense kernel's."""
+    checks and spectral bounds are the dense kernel's; h0 must be dense."""
 
     name = "low-precision expansion"
     stall_hint = "small gaps are often unresolvable at reduced precision"
@@ -137,6 +137,10 @@ class _F32Ops(_DenseOps):
 
     def __init__(self, h0: np.ndarray):
         super().__init__(h0)
+        if not isinstance(h0, np.ndarray):
+            raise ValueError(
+                "h0 must be an ndarray: the f32 and split16 kernels take dense storage only"
+            )
         self.mult_count = 0
 
     def _gemm(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -216,6 +216,8 @@ class _DenseOps:
         then holds h0 to this kernel's own."""
         if not isinstance(h0, (np.ndarray, SparseMatrix)):
             raise ValueError(f"h0 must be an ndarray or a SparseMatrix, got {type(h0).__name__}")
+        if isinstance(h0, np.ndarray) and h0.ndim != 2:
+            raise ValueError(f"expected a square h0, got shape {h0.shape}")
         self.n = h0.dim if isinstance(h0, SparseMatrix) else h0.shape[0]
 
     def check(self, m, name: str) -> None:

@@ -6,6 +6,15 @@ matrix function along a direction is the eigenbasis Hadamard product with the
 divided-difference (Loewner) matrix; the chemical-potential response mu1 is
 solved in closed form so that every susceptibility is exactly trace neutral.
 
+The chemical potential mu0 is the root of the occupation error, found by
+`scipy.optimize.brentq` to float64's resolution. The Fermi function's divided
+differences take the closed form
+(f(a) - f(b)) / (a - b) = -beta_t f(a) (1 - f(b)) exprel(beta_t (a - b)),
+a <= b, with `scipy.special.exprel`; no pair of eigenvalues is too close for
+it, and its diagonal is f'. The hole occupation 1 - f is its own logistic,
+expit(+beta_t (eps - mu)), never 1 minus f: for an occupied state that
+subtraction leaves only f's rounding error.
+
 One diagonalization serves every response about a density: the frozen
 `FermiGroundState` holds D0, the eigenbasis, mu0 and beta_t, and
 differentiates D0 along any seed. It is also the inner ground state of the
@@ -30,16 +39,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
+from scipy.special import expit, exprel
 
 from .linalg import EigenDecomposition, sym_eigendecompose, symmetric_matrix, symmetrize
 
-# Relative eigenvalue-spacing below which divided differences switch to the
+# Relative eigenvalue-spacing below which `loewner_matrix` switches to the
 # midpoint derivative (avoids catastrophic cancellation).
 DEGENERACY_DELTA = 1e-8
-
-MU_TRACE_TOL = 1e-12
-MU_MAX_BISECTIONS = 500
 
 
 def fermi_function(eps, beta_t: float, mu: float):
@@ -47,44 +53,25 @@ def fermi_function(eps, beta_t: float, mu: float):
     return expit(-beta_t * (np.asarray(eps, dtype=np.float64) - mu))
 
 
-def fermi_derivative(eps, beta_t: float, mu: float):
-    """d/d eps of the occupation: -beta_t f (1 - f), always <= 0."""
-    f = fermi_function(eps, beta_t, mu)
-    return -beta_t * f * (1.0 - f)
-
-
 def _solve_mu(values: np.ndarray, beta_t: float, n_occ: float) -> float:
-    """Bisect the chemical potential so the total occupation hits n_occ."""
+    """The chemical potential at which the total occupation is n_occ, by
+    brentq on a bracket 10 / beta_t outside the spectrum, resolved to
+    float64's eps."""
+    from scipy.optimize import brentq  # only the Fermi route pays for loading the root finder
+
     lo = float(values[0]) - 10.0 / beta_t
     hi = float(values[-1]) + 10.0 / beta_t
 
     def occupation(mu):
         return float(np.sum(fermi_function(values, beta_t, mu))) - n_occ
 
-    f_lo, f_hi = occupation(lo), occupation(hi)
-    if f_lo > 0.0 or f_hi < 0.0:
+    if occupation(lo) > 0.0 or occupation(hi) < 0.0:
         raise ValueError(
             f"no chemical potential bracketed in [{lo:.6g}, {hi:.6g}] for "
             f"occupation target {n_occ}"
         )
-    for _ in range(MU_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        f_mid = occupation(mid)
-        if abs(f_mid) <= MU_TRACE_TOL:
-            return mid
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= np.finfo(float).eps * max(1.0, abs(mid)):
-            break
-    mid = 0.5 * (lo + hi)
-    if abs(occupation(mid)) > 1e-10:
-        raise ValueError(
-            f"chemical potential bisection stalled in [{lo:.6g}, {hi:.6g}]: "
-            f"occupation error {occupation(mid):.3e}"
-        )
-    return mid
+    eps = float(np.finfo(np.float64).eps)
+    return brentq(occupation, lo, hi, xtol=eps * max(abs(lo), abs(hi)), rtol=4.0 * eps)
 
 
 def fermi_matrix_and_mu(h: np.ndarray, beta_t: float, n_occ: float):
@@ -121,7 +108,7 @@ class FermiGroundState:
 
 
 def _fermi_eigenbasis(h: np.ndarray, beta_t: float, n_occ: float) -> FermiGroundState:
-    """Check h with `linalg.symmetric_matrix`, eigendecompose it, bisect mu0
+    """Check h with `linalg.symmetric_matrix`, eigendecompose it, solve mu0
     so that Tr[D] = n_occ, and build the Fermi-smeared D in that eigenbasis,
     frozen as a FermiGroundState."""
     if not 0.0 < beta_t < math.inf:
@@ -164,6 +151,14 @@ def trace_neutral_derivative(
     """Fermi-function derivative along (direction - mu1 * I), with mu1 solved
     in closed form so the result is traceless.
 
+    The divided differences over the ascending eigenvalues are
+    (f(a) - f(b)) / (a - b) = -beta_t f(a) (1 - f(b)) exprel(beta_t (a - b))
+    for a <= b: exprel's argument is never positive, so nothing overflows,
+    and equal or nearly equal eigenvalues need no switch. 1 - f is
+    expit(+beta_t (eps - mu0)), not 1 minus f, which would keep only f's
+    rounding error for an occupied state. The diagonal is f', and it serves
+    both mu1 and the identity response.
+
     By linearity of the derivative in its direction,
     mu1 = Tr[deriv(direction)] / Tr[deriv(I)]; the denominator is the sum of
     f' over the spectrum. Raises when that sum underflows to zero, which
@@ -171,25 +166,23 @@ def trace_neutral_derivative(
 
     Returns (deriv, mu1).
     """
-
-    def f(x):
-        return fermi_function(x, beta_t, mu0)
-
-    def fp(x):
-        return fermi_derivative(x, beta_t, mu0)
-
-    ell = loewner_matrix(eig.values, f, fp)
+    lam = eig.values
+    # f(a) (1 - f(b)) with a the lower eigenvalue of each pair
+    pairs = np.triu(np.outer(fermi_function(lam, beta_t, mu0), expit(beta_t * (lam - mu0))))
+    spacing = np.abs(np.subtract.outer(lam, lam))
+    ell = -beta_t * (pairs + np.triu(pairs, 1).T) * exprel(-beta_t * spacing)
+    fp = np.diagonal(ell)
     w = eig.vectors.T @ direction @ eig.vectors
     r_dir = eig.vectors @ (ell * w) @ eig.vectors.T
-    tr_dir = float(np.sum(np.diagonal(ell) * np.diagonal(w)))
-    tr_ident = float(np.sum(fp(eig.values)))
+    tr_dir = float(np.sum(fp * np.diagonal(w)))
+    tr_ident = float(np.sum(fp))
     if tr_ident == 0.0:
         raise ValueError(
             "Tr[d f / d mu] vanished: the chemical-potential response is "
             "ill-posed at this temperature"
         )
     mu1 = tr_dir / tr_ident
-    r_ident = (eig.vectors * fp(eig.values)) @ eig.vectors.T
+    r_ident = (eig.vectors * fp) @ eig.vectors.T
     return symmetrize(r_dir - mu1 * r_ident), mu1
 
 

@@ -221,6 +221,21 @@ def test_routes_name_a_non_finite_operand(storage):
         # and a seed that is not an ndarray is not of h0's storage kind
         with pytest.raises(ValueError, match="^seed must be the same storage kind as h0$"):
             dm_perturbation_forward(h, nested, n_occ)
+        # a 0-d h0 is named before its shape is read
+        scalar = np.array(1.0)
+        for call in (
+            lambda: sp2_ground_state(scalar, 1),
+            lambda: dm_perturbation_forward(scalar, scalar, 1),
+            lambda: single_precision_pipeline(scalar, None, 1),
+        ):
+            with pytest.raises(ValueError, match=r"^expected a square h0, got shape \(\)$"):
+                call()
+        # the low-precision kernels take dense storage only
+        stored = sparsify(np.diag([1.0, 2.0]), 0.0)
+        dense_only = "^h0 must be an ndarray: the f32 and split16 kernels take dense storage only$"
+        for pipeline in (single_precision_pipeline, mixed_response_pipeline):
+            with pytest.raises(ValueError, match=dense_only):
+                pipeline(stored, None, 1)
 
 
 class TestSparseGroundState:

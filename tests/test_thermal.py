@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from dmresponse.linalg import sym_eigendecompose, trace_product
-from dmresponse.models import gapped_random_hamiltonian
+from dmresponse.models import ModelSpec, gapped_random_hamiltonian, generate_model
 from dmresponse.response import susceptibility_forward
 from dmresponse.sp2 import sp2_ground_state
 from dmresponse.thermal import (
     canonical_dm_response,
     canonical_susceptibility,
-    fermi_derivative,
     fermi_function,
     fermi_matrix_and_mu,
     loewner_matrix,
@@ -58,6 +58,17 @@ class TestFermiMatrix:
                 fermi_matrix_and_mu(h, beta_t, 4.0)
             with pytest.raises(ValueError, match="beta_t must be finite and positive"):
                 canonical_susceptibility(h, np.eye(8), beta_t, 4.0)
+        # the bracket check names the failure before brentq is reached
+        with pytest.raises(ValueError, match="no chemical potential bracketed"):
+            fermi_matrix_and_mu(np.diag([0.0, 1.0]), 10.0, 1e-30)
+
+    @pytest.mark.parametrize("n, beta_t", [(40, 20.0), (100, 50.0)])
+    def test_occupation_met_to_roundoff(self, n, beta_t):
+        # mu0 is resolved to float64's eps, so Tr[D] meets n_occ to the
+        # rounding of the trace itself
+        h, _ = generate_model(ModelSpec("gapped_random", n, 1.0, seed=0))
+        d, _ = fermi_matrix_and_mu(h, beta_t, n / 2)
+        assert abs(np.trace(d) - n / 2) <= 1e-13
 
     @pytest.mark.parametrize(
         "call, name",
@@ -93,7 +104,7 @@ class TestLoewnerMatrix:
         ell = loewner_matrix(
             lam,
             lambda x: fermi_function(x, beta_t, mu),
-            lambda x: fermi_derivative(x, beta_t, mu),
+            lambda x: -beta_t * expit(-beta_t * (x - mu)) * expit(beta_t * (x - mu)),
         )
         assert np.all(ell <= 1e-15)
 
