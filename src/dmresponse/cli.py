@@ -4,9 +4,10 @@ Loads or generates model matrices, executes the requested pipeline
 (ground state, response/susceptibility in any variant, duality audit,
 benchmark sweep), and writes one JSON report per run. Reports are
 deterministic for a fixed configuration and seed, up to the "timing"
-section. Every subcommand runs the route's solver from ``SOLVERS``: audit
-adds one independent oracle value, and benchmark runs the sparse route at
-each of its dimensions.
+section. Every subcommand runs the route's solver from ``SOLVERS`` through
+``_run_route``: audit is respond --mode both plus the route's one
+independent oracle value from ``AUDIT_ORACLES``, and benchmark runs the
+sparse route at each of its dimensions.
 
 Every run's flags resolve into exactly one route (scf, thermal, sparse,
 f32, split16, dense or dense_orthogonalized) before any input is read; see
@@ -59,7 +60,6 @@ class RunConfig:
     seed: int = 0
     sizes: tuple[int, ...] = field(default_factory=tuple)
     out: str | None = None
-    fd_step: float = 1e-5
 
 
 class UsageError(Exception):
@@ -83,7 +83,6 @@ REFUSED = {
         "kernel": "audit has no self-consistent route; drop --kernel",
         "tau": "audit runs dense routes; drop --tau",
         "precision": "audit runs in float64; drop --precision",
-        "overlap": "audit runs in an orthonormal basis; drop the overlap",
     },
     "benchmark": {
         "kernel": "benchmark has no self-consistent route; drop --kernel",
@@ -142,8 +141,6 @@ def _route(cfg: RunConfig) -> str:
         raise UsageError(f"--beta-t must be finite and positive, got {cfg.beta_t}")
     if cfg.tau is not None and not 0.0 <= cfg.tau < math.inf:
         raise UsageError(f"--tau must be finite and non-negative, got {cfg.tau}")
-    if not 0.0 < cfg.fd_step < math.inf:
-        raise UsageError(f"--fd-step must be finite and positive, got {cfg.fd_step}")
     # the model's own limits on each generated dimension, gap and overlap
     for n in (cfg.size, *cfg.sizes) if cfg.kind else ():
         if n is None:
@@ -499,10 +496,51 @@ SOLVERS = {
 }
 
 
-def _run_route(cfg: RunConfig, route: str) -> tuple[dict, dict]:
-    """ground-state, respond and each size of benchmark: load the inputs,
-    apply the overlap, and run the route's solver. Returns (results,
-    timing), timing holding the solver's wall time as solve_s."""
+def _oracle_eigenbasis(cfg, h0, a, h1, n_occ) -> dict:
+    """Tr[A P1], P1 the exact derivative of the projector on the n_occ
+    lowest eigenvectors of h0, cut at the HOMO-LUMO midpoint."""
+    eig = linalg.sym_eigendecompose(h0)
+    mu = 0.5 * (eig.values[n_occ - 1] + eig.values[n_occ])
+    p1 = oracles.projector_derivative_exact(eig, h1, mu)
+    return {"oracle_eigenbasis": linalg.trace_product(a, p1)}
+
+
+# the coarse step of the thermal oracle's Richardson pair
+FD_STEP = 3e-4
+
+
+def _oracle_finite_difference(cfg, h0, a, h1, n_occ) -> dict:
+    """d Tr[A D(h0 + t h1)]/dt at t = 0, D at fixed occupation, as the
+    Richardson combination (4 c(h/2) - c(h)) / 3 of two central differences
+    c, which cancels their h^2 error. Where beta_t times the spectral width
+    is far below 1, the derivative is O(beta_t) while Tr[A D] is O(1), and
+    rounding in the difference limits its accuracy."""
+
+    def observable_at(h):
+        d, _ = thermal.fermi_matrix_and_mu(h, cfg.beta_t, float(n_occ))
+        return linalg.trace_product(a, d)
+
+    coarse, fine = (
+        oracles.finite_difference_response(observable_at, h0, h1, step)
+        for step in (FD_STEP, FD_STEP / 2)
+    )
+    return {"oracle_finite_difference": (4.0 * fine - coarse) / 3.0}
+
+
+# the audit's independent oracle for each route it runs
+AUDIT_ORACLES = {
+    "dense": _oracle_eigenbasis,
+    "dense_orthogonalized": _oracle_eigenbasis,
+    "thermal": _oracle_finite_difference,
+}
+
+
+def _run_route(cfg: RunConfig, route: str, oracle=None) -> tuple[dict, dict]:
+    """ground-state, respond, audit and each size of benchmark: load the
+    inputs, apply the overlap, and run the route's solver. An oracle, called
+    as the solvers are but without the overlap, adds its one named value to
+    the a1 values before their pairwise deviations are taken. Returns
+    (results, timing), timing holding the solver's wall time as solve_s."""
     h0, s, a, h1 = _load_or_generate(cfg)
     n = _dim(h0)
     n_occ = _resolve_n_occ(cfg, n)
@@ -520,58 +558,21 @@ def _run_route(cfg: RunConfig, route: str) -> tuple[dict, dict]:
     started = time.perf_counter()
     results.update(SOLVERS[route](cfg, h0, s, a, h1, n_occ))
     timing = {"solve_s": time.perf_counter() - started}
+    if oracle is not None:
+        results["values"].update(oracle(cfg, h0, a, h1, n_occ))
     if "values" in results:
         results["duality_deviations"] = pairwise_deviations(results["values"])
     return results, timing
 
 
-# the audit's names for the a1 values of the two routes it runs
-AUDIT_NAMES = {
-    "dense": {
-        "a1_direct": "direct_forward",
-        "a1_dual_forward": "dual_forward",
-        "a1_dual_backward": "dual_backward",
-    },
-    "thermal": {"a1_direct": "direct_thermal", "a1_dual_forward": "dual_thermal"},
-}
-
-
 def _run_audit(cfg: RunConfig, route: str) -> tuple[dict, dict]:
-    """Every a1 value of the route's solver plus one independent oracle value,
-    with their pairwise deviations; no timing beyond the run's total. The
-    oracle is the eigenbasis projector derivative at the HOMO-LUMO midpoint
-    at zero temperature, and the central difference of Tr[A D] with step
-    --fd-step at finite temperature."""
-    h0, _, a, h1 = _load_or_generate(cfg)
-    n = h0.shape[0]
-    n_occ = _resolve_n_occ(cfg, n)
-    solved = SOLVERS[route](cfg, h0, None, a, h1, n_occ)
-    values = {AUDIT_NAMES[route][k]: v for k, v in solved["values"].items()}
-    if route == "thermal":
-
-        def observable_at(h):
-            d, _ = thermal.fermi_matrix_and_mu(h, cfg.beta_t, float(n_occ))
-            return linalg.trace_product(a, d)
-
-        values["oracle_finite_difference"] = oracles.finite_difference_response(
-            observable_at, h0, h1, cfg.fd_step
-        )
-    else:
-        eig = linalg.sym_eigendecompose(h0)
-        mu = 0.5 * (eig.values[n_occ - 1] + eig.values[n_occ])
-        oracle = oracles.projector_derivative_exact(eig, h1, mu)
-        values["oracle_eigenbasis"] = linalg.trace_product(a, oracle)
-    details = pairwise_deviations(values)
-    worst = max([0.0, *details.values()])
-    scale = max(max(abs(v) for v in values.values()), 1e-12)
-    return {
-        "dim": n,
-        "n_occ": n_occ,
-        "values": values,
-        "max_abs_deviation": worst,
-        "max_rel_deviation": worst / scale,
-        "details": details,
-    }, {}
+    """respond --mode both's run plus the route's oracle value, with the
+    largest pairwise deviation, absolute and relative to the largest value."""
+    results, timing = _run_route(cfg, route, AUDIT_ORACLES[route])
+    worst = max(results["duality_deviations"].values())
+    scale = max(*map(abs, results["values"].values()), 1e-12)
+    results.update(max_abs_deviation=worst, max_rel_deviation=worst / scale)
+    return results, timing
 
 
 def _run_benchmark(cfg: RunConfig, route: str) -> tuple[dict, dict]:
@@ -691,8 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_common(sub.add_parser("ground-state", help="ground-state density matrix"))
     add_common(sub.add_parser("respond", help="linear response / susceptibility"), with_mode=True)
-    audit = add_common(sub.add_parser("audit", help="all-routes duality audit"))
-    audit.add_argument("--fd-step", type=float, default=_DEFAULTS["fd_step"], dest="fd_step")
+    add_common(sub.add_parser("audit", help="all-routes duality audit"))
     bench = add_common(sub.add_parser("benchmark", help="thresholded-sparse scaling sweep"))
     bench.add_argument(
         "--sizes", type=_sizes, required=True, help="comma-separated dimensions, e.g. 500,1000,2000"

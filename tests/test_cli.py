@@ -739,9 +739,9 @@ class TestAuditAndBenchmark:
         res = audit_files(tmp_path, h0, random_symmetric(rng, 50), random_symmetric(rng, 50), 25)
         assert res["max_rel_deviation"] <= 1e-9
         assert set(res["values"]) == {
-            "direct_forward",
-            "dual_forward",
-            "dual_backward",
+            "a1_direct",
+            "a1_dual_forward",
+            "a1_dual_backward",
             "oracle_eigenbasis",
         }
 
@@ -752,36 +752,27 @@ class TestAuditAndBenchmark:
         assert "oracle_finite_difference" in res["values"]
 
     @pytest.mark.parametrize(
-        "extra, names, oracle",
+        "model, oracle",
         [
-            (
-                [],
-                {
-                    "a1_direct": "direct_forward",
-                    "a1_dual_forward": "dual_forward",
-                    "a1_dual_backward": "dual_backward",
-                },
-                "oracle_eigenbasis",
-            ),
-            (
-                ["--beta-t", "12"],
-                {"a1_direct": "direct_thermal", "a1_dual_forward": "dual_thermal"},
-                "oracle_finite_difference",
-            ),
+            (["--kind", "gapped_random"], "oracle_eigenbasis"),
+            (["--kind", "overlap_chain"], "oracle_eigenbasis"),
+            (["--kind", "gapped_random", "--beta-t", "12"], "oracle_finite_difference"),
         ],
-        ids=["dense", "thermal"],
+        ids=["dense", "dense_orthogonalized", "thermal"],
     )
-    def test_audit_values_are_the_route_solvers(self, tmp_path, extra, names, oracle):
+    def test_audit_values_are_the_route_solvers(self, tmp_path, model, oracle):
         # the audit's a1 values are respond --mode both's, bit for bit, plus
         # one oracle value
-        model = ["--kind", "gapped_random", "--size", "16", "--seed", "4", *extra]
+        model = [*model, "--size", "16", "--seed", "4"]
         code, audit = run_cli(["audit", *model], tmp_path, "audit.json")
         assert code == 0
         code, resp = run_cli(["respond", "--mode", "both", *model], tmp_path, "respond.json")
         assert code == 0
-        values = audit["results"]["values"]
-        assert set(values) == {*names.values(), oracle}
-        assert {k: values[v] for k, v in names.items()} == resp["results"]["values"]
+        values = dict(audit["results"]["values"])
+        assert oracle in values
+        del values[oracle]
+        assert values == resp["results"]["values"]
+        assert audit["results"]["route"] == resp["results"]["route"]
 
     def test_audit_all_routes_agree(self, tmp_path):
         code, rep = run_cli(
@@ -853,7 +844,7 @@ def expected_route(sub, flags):
     must exit 2."""
     overlap = "overlap_file" in flags or "overlap_chain" in flags
     precision = next((p for p in ("f32", "split16") if p in flags), None)
-    if sub[0] == "audit" and ({"kernel", "tau"} & set(flags) or precision or overlap):
+    if sub[0] == "audit" and ({"kernel", "tau"} & set(flags) or precision):
         return None
     if sub[0] == "benchmark":
         # tau defaults to BENCHMARK_TAU, so benchmark always runs the sparse route
@@ -895,7 +886,7 @@ def test_route_table(tmp_path, overlap_file, sub, flags):
         return
     code, rep = run_cli(argv, tmp_path)
     assert code == 0 and rep["error"] is None
-    if sub[0] in ("ground-state", "respond"):
+    if sub[0] in ("ground-state", "respond", "audit"):
         assert rep["results"]["route"] == route
     if sub[0] == "benchmark":
         assert [e["route"] for e in rep["results"]["per_size"]] == [route]

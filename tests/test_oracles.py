@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -115,11 +116,21 @@ class TestBinary16Reference:
 
 class TestDualityAudit:
     # the duality audit runs through the CLI; its finite-difference oracle
-    # step is refused there, as a usage error, before any input is built
-    @pytest.mark.parametrize("step", [0.0, -1e-5, float("nan"), float("inf")])
-    def test_rejects_bad_fd_step(self, capsys, step):
+    # takes a fixed Richardson step pair, not a caller's step
+    def test_fd_step_is_not_an_option(self, capsys):
         argv = ["audit", "--kind", "gapped_random", "--size", "20", "--beta-t", "12"]
         with pytest.raises(SystemExit) as exc:
-            main(argv + [f"--fd-step={step}"])
+            main(argv + ["--fd-step", "1e-5"])
         assert exc.value.code == 2
-        assert "--fd-step must be finite and positive" in capsys.readouterr().err
+        assert "unrecognized arguments: --fd-step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size, beta_t", [(16, 12), (100, 50)])
+    def test_thermal_oracle_resolves_the_route(self, tmp_path, size, beta_t):
+        # 1e-10 needs the h^2 error cancelled: one central difference at step
+        # 1e-5 reads 6.5e-10 and 1.4e-9 on these inputs
+        out = tmp_path / "r.json"
+        argv = ["audit", "--kind", "gapped_random", "--size", str(size), "--beta-t", str(beta_t)]
+        assert main(argv + ["--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert "oracle_finite_difference" in results["values"]
+        assert results["max_rel_deviation"] <= 1e-10

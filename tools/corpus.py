@@ -70,6 +70,11 @@ INVOCATIONS = {
     "respond-scf-bilinear": ["respond", *GEN, "--kernel", "bilinear:0.3", "--mode", "both"],
     "audit-dense": ["audit", *GEN, "--seed", "3"],
     "audit-thermal": ["audit", "--kind", "gapped_random", "--size", "16", "--beta-t", "12"],
+    "audit-dense_orthogonalized": ["audit", "--kind", "overlap_chain", "--size", str(N)],
+    "audit-dense-nocc7": ["audit", *GEN, "--nocc", "7"],
+    "audit-thermal-nocc7": ["audit", *GEN, "--beta-t", "20", "--nocc", "7"],
+    "respond-dense-nocc7": ["respond", *GEN, "--nocc", "7", "--mode", "both"],
+    "respond-thermal-nocc7": ["respond", *GEN, "--beta-t", "20", "--nocc", "7", "--mode", "both"],
     "benchmark": ["benchmark", "--sizes", "200,400"],
     "file-array-dense": ["respond", *FILES, "--mode", "both"],
     "file-array-sparse": ["respond", *FILES, "--tau", "1e-6", "--mode", "both"],
@@ -79,6 +84,13 @@ INVOCATIONS = {
     "file-overlap-scf": [
         "respond", "--h0", "oc_h0.mtx", "--overlap", "s.mtx", "--kernel", "hubbard:1",
         "--mode", "both",
+    ],
+    "file-overlap-scf-finite-t": [
+        "respond", "--h0", "oc_h0.mtx", "--overlap", "s.mtx", "--kernel", "hubbard:1",
+        "--beta-t", "20", "--mode", "both",
+    ],
+    "file-overlap-audit-thermal": [
+        "audit", "--h0", "oc_h0.mtx", "--overlap", "s.mtx", "--beta-t", "20"
     ],
     "usage-tau-split16": [
         "respond", "--kind", "chain", "--size", "8", "--tau", "1e-6", "--precision", "split16"
