@@ -2,8 +2,8 @@
 
 The ground-state recursion of :mod:`dmresponse.sp2` is differentiated along a
 chosen symmetric direction. Three equivalent routes are provided, each one
-run of the expansion engine `sp2._expand`, which checks the operands and
-gates every fresh run:
+run of the expansion engine `sp2._expand`, which checks the operands,
+bounds the spectrum from h0 and gates every run once:
 
 * forward density-matrix perturbation: seed with the Hamiltonian perturbation,
   evolve the derivative alongside the ground-state iterate (no stored
@@ -17,7 +17,8 @@ The backward route returns its stored run as an `sp2.Sp2Expansion`. Passed
 to either forward route as `trace`, it serves that route's seed by pair
 updates over the stored iterates, with no square and no second ground-state
 run: one stored expansion serves every seed, at the backward route's
-m_steps * N^2 floats for as long as the caller keeps it.
+m_steps * N^2 floats for as long as the caller keeps it. Any other `trace`,
+a plain Sp2Trace included, is ignored: the route runs fresh.
 
 Also here: the position-derivative assembly for non-orthogonal (overlap)
 representations, including the inverse-factor derivative and the
@@ -37,22 +38,19 @@ def dm_perturbation_forward(h0, h1, n_occ, trace: Sp2Trace | None = None):
 
     Runs the merged recursion: the ground-state iterate is generated on the
     fly (never stored as a sequence) while its directional derivative along
-    h1 evolves next to it, sharing every branch choice. A plain `trace`
-    (Sp2Trace), the record of an earlier run, lends its spectral bounds, so
-    none are computed; the branches and the stop step are derived as in a
-    fresh run. A run that reproduces the record bit for bit (the same h0
-    and n_occ) is not gated again; any other run is gated like a fresh one.
-    An Sp2Expansion (see :func:`susceptibility_backward`) is not run again:
-    its stored iterates give d1 by pair updates alone, once h0 and n_occ
-    are checked against it (ValueError for an expansion of another
-    problem).
+    h1 evolves next to it, sharing every branch choice. An Sp2Expansion
+    passed as `trace` (see :func:`susceptibility_backward`) is not run
+    again: its stored iterates give d1 by pair updates alone, once h0 and
+    n_occ are checked against it (ValueError for an expansion of another
+    problem). Any other `trace`, a plain Sp2Trace included, is not read:
+    the run is fresh, bounded from h0 and gated.
 
     Returns (d0, d1, trace).
     """
     if isinstance(trace, Sp2Expansion):
         trace.check_source(h0, n_occ)
         return trace.d0, trace.forward(h1), trace
-    return _expand(h0, n_occ, y_seed=h1, record=trace)
+    return _expand(h0, n_occ, y_seed=h1)
 
 
 def susceptibility_forward(h0, a, n_occ, trace: Sp2Trace | None = None):
@@ -60,7 +58,8 @@ def susceptibility_forward(h0, a, n_occ, trace: Sp2Trace | None = None):
 
     Identical recursion to :func:`dm_perturbation_forward` with the
     observable in the seed position; the result contracts with any
-    Hamiltonian perturbation to give the response of <A>.
+    Hamiltonian perturbation to give the response of <A>. Only an
+    Sp2Expansion passed as `trace` is used; any other value runs fresh.
 
     Returns (d0, chi, trace).
     """

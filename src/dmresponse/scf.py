@@ -135,9 +135,10 @@ class Sp2GroundState:
     orthonormal-basis Hamiltonian h, with the Sp2Trace of its run.
 
     `forward(seed)` differentiates the frozen expansion. The first call
-    runs the expansion once more with the trace as its record, which lends
-    its bounds; that run reproduces the trace, so it is not gated again. It
-    stores its iterates (an sp2.Sp2Expansion: m_steps * N^2 floats, about
+    runs a fresh, gated expansion of h, the final sweep's orthonormal-basis
+    H_eff, once more: the same h gives the same bounds, so it repeats the
+    reported run bit for bit. It stores its iterates (an
+    sp2.Sp2Expansion: m_steps * N^2 floats, about
     1.4 MB at n = 100 and 144 MB at N = 1000), and every call, of every
     response solve over this state, is one pair update per step over them,
     with no square. mu0, the HOMO-LUMO midpoint, costs an
@@ -150,7 +151,7 @@ class Sp2GroundState:
 
     @cached_property
     def _expansion(self):
-        return _expand(self.h, self.trace.n_occ, record=self.trace, store=True)[2]
+        return _expand(self.h, self.trace.n_occ, store=True)[2]
 
     def forward(self, seed: np.ndarray) -> np.ndarray:
         return self._expansion.forward(seed)

@@ -6,15 +6,13 @@ transform, then driven to {0, 1} by the recursion
     X_{n+1} = (1 - sigma_n) X_n + sigma_n X_n^2,   sigma_n = +/-1,
 
 with each sigma_n picked so the trace of X_{n+1} lands as close as possible
-to the target occupation. Each run returns its record (Sp2Trace). Passed to
-a later run, a plain record lends only its spectral bounds: that run picks
-its branches and its stop step by the same rule as any other, is not gated
-again if it reproduces the record, and is gated otherwise.
+to the target occupation. Every run bounds the spectrum from its own h0, is
+gated once and reports itself as an Sp2Trace.
 
 `_expand` is the one place that runs the recursion, differentiated
 forward (a derivative iterate seeded with a perturbation or an observable)
 or not at all. A run asked to store its iterates returns them, frozen, as an
-`Sp2Expansion`: the record of the run plus X_0 .. X_{m-1}, over which any
+`Sp2Expansion`: the report of the run plus X_0 .. X_{m-1}, over which any
 number of seeds run forward and any number of observables run backward by
 pair updates alone, with no square. One arithmetic kernel per storage or
 precision does the matrix work and alone knows the storage kind: it checks
@@ -94,12 +92,7 @@ _TILE = 128
 
 @dataclass(frozen=True)
 class Sp2Trace:
-    """Record of one ground-state expansion.
-
-    Passed as `record` to `_expand`, it lends its spectral bounds and
-    nothing else. A run at its n_occ that reproduces its sigmas and
-    idempotency log bit for bit repeated the recorded run and is not gated
-    again; any other run (another n_occ, another h0) is gated.
+    """Report of one ground-state expansion; never an input to another run.
 
     sigmas : branch choices, one per applied recursion step.
     idempotency_log : per-step |Tr[X_n^2 - X_n]| of the iterate each step
@@ -133,7 +126,7 @@ class Sp2Trace:
 class Sp2Expansion(Sp2Trace):
     """A ground-state expansion frozen with its iterates.
 
-    The record of the run plus its arithmetic kernel `ops`, the iterates
+    The report of the run plus its arithmetic kernel `ops`, the iterates
     X_0 .. X_{m-1} its steps consumed and the final iterate `d0`: m_steps *
     N^2 floats for a dense run, besides D0. Built by `_expand(...,
     store=True)`.
@@ -151,9 +144,7 @@ class Sp2Expansion(Sp2Trace):
         """Raise ValueError unless this expansion was built from h0 at n_occ:
         its n_occ, then an exact O(N^2) comparison of h0's seed with the
         stored X_0. An expansion is never run again: its stored iterates
-        serve each seed, so it must belong to the problem. A plain
-        Sp2Trace has no such check; it lends only its bounds to a run that
-        is gated unless it reproduces the record."""
+        serve each seed, so it must belong to the problem."""
         if n_occ != self.n_occ:
             raise ValueError(f"the stored expansion targets n_occ = {self.n_occ}, got {n_occ}")
         self.ops.check(h0, "the given h0")
@@ -426,13 +417,13 @@ def _joined(y):
     return y.result() if isinstance(y, Future) else y
 
 
-def _expand(h0, n_occ, y_seed=None, record=None, store=False, ops=None):
+def _expand(h0, n_occ, y_seed=None, store=False, ops=None):
     """Run the SP2 recursion, optionally differentiated in one direction.
 
     `ops` is the arithmetic kernel; it defaults to the dense or sparse one
     matching h0 (the low-precision kernels live in `mixedprec`). The kernel
-    checks h0 and `y_seed`, and gates every run that does not reproduce
-    `record` (see `_DenseOps.gate`).
+    checks h0 and `y_seed`, bounds h0's spectrum and gates the converged run
+    once (see `_DenseOps.gate`).
 
     Returns (x_final, y_final, trace). With `y_seed` the derivative iterate
     evolves forward next to the ground-state iterate; without it y_final is
@@ -440,13 +431,6 @@ def _expand(h0, n_occ, y_seed=None, record=None, store=False, ops=None):
     Sp2Expansion holding them (m_steps * N^2 floats for a dense run), which
     differentiates the frozen run in any direction, forward or backward, by
     pair updates alone. Without it nothing is stored.
-
-    A `record` (an earlier run's Sp2Trace) lends its spectral bounds, so no
-    bounds are computed; the branches and the stop step are derived as in
-    any run. A run at the record's n_occ whose sigmas and idempotency log
-    equal the record's bit for bit repeated the recorded run, which was
-    gated when it ran fresh, so it is not gated again; any other run, for
-    another n_occ or another h0, is.
 
     A run that reaches idempotency appends a two-step trace-neutral tail
     (branches +1 then -1). At idempotency both branches leave the iterate
@@ -463,7 +447,7 @@ def _expand(h0, n_occ, y_seed=None, record=None, store=False, ops=None):
     n = ops.n
     if not 1 <= n_occ <= n - 1:
         raise ValueError(f"n_occ must lie in [1, {n - 1}], got {n_occ}")
-    bounds = ops.bounds(h0) if record is None else record.bounds
+    bounds = ops.bounds(h0)
     alpha, beta = _init_scalars(bounds)
 
     x = ops.seed(alpha, beta, h0)
@@ -526,11 +510,7 @@ def _expand(h0, n_occ, y_seed=None, record=None, store=False, ops=None):
         trace = Sp2Expansion(**run, ops=ops, iterates=tuple(stored), d0=x)
     else:
         trace = Sp2Trace(**run)
-    # a run for another occupation that took the recorded path would end on
-    # the record's occupation, so n_occ is part of the path
-    path = (trace.sigmas, trace.idempotency_log, trace.n_occ)
-    if record is None or (record.sigmas, record.idempotency_log, record.n_occ) != path:
-        ops.gate(x, trace)
+    ops.gate(x, trace)
     return x, y, trace
 
 
@@ -549,7 +529,7 @@ def sp2_ground_state(h0, n_occ: int):
     Returns
     -------
     (d0, trace) : density matrix of the same kind as h0, and the Sp2Trace
-    of the run, which a later run on the same h0 may take as its record.
+    reporting the run.
     """
     x, _, trace = _expand(h0, n_occ)
     return x, trace

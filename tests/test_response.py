@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -62,63 +64,35 @@ class TestDmPerturbationForward:
         combo = 2.0 * du - 3.0 * dv
         assert np.linalg.norm(dw - combo) <= 1e-10 * max(1.0, np.linalg.norm(dw))
 
-    def test_replay_uses_recorded_branches(self):
+    def test_a_plain_trace_gives_the_fresh_ground_state(self):
         n, n_occ = 24, 12
         h0 = gapped_random_hamiltonian(n, 0.9, n_occ, seed=23)
-        d_ref, tr = __import__("dmresponse.sp2", fromlist=["sp2_ground_state"]).sp2_ground_state(
-            h0, n_occ
-        )
+        d_ref, tr = sp2.sp2_ground_state(h0, n_occ)
         d0, _, tr2 = dm_perturbation_forward(h0, np.eye(n), n_occ, trace=tr)
         assert tr2.sigmas == tr.sigmas
         assert np.array_equal(d0, d_ref)
 
-    def test_a_record_of_another_problem_lends_only_its_bounds(self, rng, monkeypatch):
-        h0 = gapped_random_hamiltonian(60, 1.0, 30, seed=1)
-        h1 = random_symmetric(rng, 60)
-        _, _, record = dm_perturbation_forward(h0, h1, 30)
-        gated = []
-        real_gate = sp2._DenseOps.gate
+    def test_a_record_of_another_h0_is_not_read(self, rng):
+        # two h0 with the same eigenvectors and spectra +/-[0.5, 1] and
+        # +/-[0.5, 5]: the narrow one's bounds would map the wide spectrum
+        # far outside [0, 1], where the recursion overflows
+        n = 40
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
 
-        def gate(self, x, trace):
-            gated.append(trace.n_occ)
-            real_gate(self, x, trace)
+        def spanning(top):
+            band = np.linspace(0.5, top, n // 2)
+            return symmetrize((q * np.concatenate([-band[::-1], band])) @ q.T)
 
-        monkeypatch.setattr(sp2._DenseOps, "gate", gate)
-        # another occupation: the gated n_occ = 20 ground state, bit for bit
-        # the fresh run's (the record's bounds are h0's own)
-        d0, d1, trace = dm_perturbation_forward(h0, h1, 20, trace=record)
-        fresh_d0, fresh_d1, fresh_trace = dm_perturbation_forward(h0, h1, 20)
-        assert gated == [20, 20]
-        assert trace == fresh_trace
-        assert d0.tobytes() == fresh_d0.tobytes() and d1.tobytes() == fresh_d1.tobytes()
-        assert np.linalg.norm(d0 @ d0 - d0) <= 1e-7 and abs(np.trace(d0) - 20) <= 1e-8
-
-        # another h0: its HOMO and LUMO sit where the record's polynomial
-        # gives 0.7 and 0.3, so the recorded branches would end on the exact
-        # occupation with ||D^2 - D||_F = 0.297
-        def recorded_polynomial(eps):
-            x = record.alpha + record.beta_spec * eps
-            for sigma in record.sigmas:
-                x = x * x if sigma == 1 else 2.0 * x - x * x
-            return x
-
-        def level(value):
-            # the polynomial decreases across the bounds
-            lo, hi = record.bounds.eps_min, record.bounds.eps_max
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if recorded_polynomial(mid) > value else (lo, mid)
-            return 0.5 * (lo + hi)
-
-        eig = sym_eigendecompose(h0)
-        values = eig.values.copy()
-        values[29], values[30] = level(0.7), level(0.3)
-        other = symmetrize((eig.vectors * values) @ eig.vectors.T)
-        gated.clear()
-        d0, _, trace = dm_perturbation_forward(other, h1, 30, trace=record)
-        assert gated == [30] and trace.bounds == record.bounds
-        assert np.linalg.norm(d0 @ d0 - d0) <= 1e-7
-        assert abs(np.trace(d0) - 30) <= 1e-8
+        narrow, wide = spanning(1.0), spanning(5.0)
+        h1 = random_symmetric(rng, n)
+        _, _, record = dm_perturbation_forward(narrow, h1, n // 2)
+        for route in (dm_perturbation_forward, susceptibility_forward):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                d0, d1, trace = route(wide, h1, n // 2, trace=record)
+            fresh_d0, fresh_d1, fresh_trace = route(wide, h1, n // 2)
+            assert trace == fresh_trace and trace.bounds != record.bounds
+            assert d0.tobytes() == fresh_d0.tobytes() and d1.tobytes() == fresh_d1.tobytes()
 
 
 class TestSusceptibilityForward:
@@ -225,7 +199,8 @@ class TestStoredExpansion:
         h0, a, h1, n_occ = _problem(storage, rng)
         d0_b, _, expansion = susceptibility_backward(h0, a, n_occ)
         d0, d1, trace = dm_perturbation_forward(h0, h1, n_occ)
-        _, d1_replayed, _ = dm_perturbation_forward(h0, h1, n_occ, trace=trace)
+        # a plain trace is not read: the run is fresh
+        _, d1_plain, _ = dm_perturbation_forward(h0, h1, n_occ, trace=trace)
         d0_e, d1_e, trace_e = dm_perturbation_forward(h0, h1, n_occ, trace=expansion)
         # a forward run stores nothing; the backward run keeps every iterate
         assert type(trace) is Sp2Trace
@@ -236,7 +211,7 @@ class TestStoredExpansion:
             trace.idempotency_log,
             trace.bounds,
         )
-        assert _bits(d1_e) == _bits(d1) == _bits(d1_replayed)
+        assert _bits(d1_e) == _bits(d1) == _bits(d1_plain)
         assert _bits(d0_e) == _bits(d0_b) == _bits(d0)
         _, chi, _ = susceptibility_forward(h0, a, n_occ)
         _, chi_e, _ = susceptibility_forward(h0, a, n_occ, trace=expansion)
@@ -245,9 +220,8 @@ class TestStoredExpansion:
     def test_backward_matches_backward_route(self, rng, storage):
         h0, a, h1, n_occ = _problem(storage, rng)
         _, chi_b, _ = susceptibility_backward(h0, a, n_occ)
-        # an expansion stored by replaying a forward run's record
-        _, _, trace = dm_perturbation_forward(h0, h1, n_occ)
-        _, _, expansion = sp2._expand(h0, n_occ, record=trace, store=True)
+        # an expansion stored by a fresh run
+        _, _, expansion = sp2._expand(h0, n_occ, store=True)
         assert _bits(expansion.backward(a)) == _bits(chi_b)
         # using the expansion leaves it unchanged
         _, d1, _ = dm_perturbation_forward(h0, h1, n_occ)

@@ -192,11 +192,11 @@ def test_routes_name_a_non_finite_operand(storage):
     m[3, 3] = np.nan
     if storage == "sparse":
         h, m = sparsify(h, 0.0), threshold(m, 0.0)
-    _, _, record = dm_perturbation_forward(h, h, n_occ)
+    _, _, trace = dm_perturbation_forward(h, h, n_occ)
     _, _, expansion = susceptibility_backward(h, h, n_occ)
     for call, name in (
         (lambda: dm_perturbation_forward(h, m, n_occ), "seed"),
-        (lambda: dm_perturbation_forward(h, m, n_occ, trace=record), "seed"),
+        (lambda: dm_perturbation_forward(h, m, n_occ, trace=trace), "seed"),
         (lambda: susceptibility_forward(h, m, n_occ, trace=expansion), "seed"),
         (lambda: susceptibility_backward(h, m, n_occ), "a"),
     ):
@@ -362,13 +362,10 @@ class TestDerivativeLane:
         xi, yi, trace_i = sp2._expand(hs, n_occ, y_seed=h1, ops=_InlineSparseOps(hs))
         assert trace == trace_i
         assert _same_bits(x, xi) and _same_bits(y, yi)
-        xr, yr, trace_r = sp2._expand(hs, n_occ, y_seed=h1, record=trace)
-        xri, yri, trace_ri = sp2._expand(
-            hs, n_occ, y_seed=h1, record=trace, ops=_InlineSparseOps(hs)
-        )
-        assert trace_r == trace_ri
-        assert _same_bits(xr, xri) and _same_bits(yr, yri)
-        assert _same_bits(yr, y)
+        # a second overlapped run interleaves its lanes differently
+        xo, yo, trace_o = sp2._expand(hs, n_occ, y_seed=h1)
+        assert trace_o == trace
+        assert _same_bits(xo, x) and _same_bits(yo, y)
 
     def test_one_worker_one_update_in_flight(self, monkeypatch, thread_starts):
         hs, h1 = _sparse_problem("chain")
@@ -489,19 +486,6 @@ class TestEngineBoundary:
             run(smaller)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_replay_reproduces_fresh_run(self, kernel):
-        h, seed, ops, n = _kernel_problem(kernel)
-        n_occ = n // 2
-        fresh_ops, replay_ops = ops(h), ops(h)
-        x, y, trace = sp2._expand(h, n_occ, y_seed=seed, ops=fresh_ops)
-        xr, yr, trace_r = sp2._expand(h, n_occ, y_seed=seed, record=trace, ops=replay_ops)
-        # sigmas, idempotency log, bounds and occupation
-        assert trace_r == trace
-        assert _bits(xr) == _bits(x) and _bits(yr) == _bits(y)
-        if kernel in ("f32", "split16"):
-            assert replay_ops.mult_count == fresh_ops.mult_count
-
-    @pytest.mark.parametrize("kernel", KERNELS)
     def test_stored_expansion_runs_pair_updates_only(self, kernel):
         h, seed, ops, n = _kernel_problem(kernel)
         n_occ = n // 2
@@ -519,32 +503,40 @@ class TestEngineBoundary:
             per_pair = 1 if kernel == "f32" else 3
             assert store_ops.mult_count - products == per_pair * trace.m_steps
 
-    def test_gate_runs_once_per_fresh_run_never_on_a_reproduced_record(self, monkeypatch):
+    def test_gate_runs_once_per_expand_run_never_on_a_stored_expansion(self, monkeypatch):
         gated = []
-        real_gate = sp2._DenseOps.gate
 
-        def gate(self, x, trace):
-            gated.append(type(self).__name__)
-            real_gate(self, x, trace)
+        def spy(real):
+            def gate(self, x, trace):
+                gated.append(type(self).__name__)
+                real(self, x, trace)
 
-        # the sparse kernel inherits the dense kernel's gate
-        monkeypatch.setattr(sp2._DenseOps, "gate", gate)
-        for kernel in ("dense", "sparse"):
+            return gate
+
+        # the sparse and split16 kernels inherit these two gates
+        for owner in (sp2._DenseOps, mixedprec._F32Ops):
+            monkeypatch.setattr(owner, "gate", spy(owner.gate))
+        for kernel, (ops, _) in KERNELS.items():
             h, m, _, n = _kernel_problem(kernel)
             n_occ = n // 2
-            _, trace = sp2_ground_state(h, n_occ)
-            dm_perturbation_forward(h, m, n_occ)
-            susceptibility_forward(h, m, n_occ)
-            susceptibility_backward(h, m, n_occ)
-            assert gated == [KERNELS[kernel][0].__name__] * 4
+            sp2._expand(h, n_occ, ops=ops(h))
+            sp2._expand(h, n_occ, y_seed=m, ops=ops(h))
+            _, _, expansion = sp2._expand(h, n_occ, store=True, ops=ops(h))
+            assert gated == [ops.__name__] * 3
             gated.clear()
-            dm_perturbation_forward(h, m, n_occ, trace=trace)
-            susceptibility_forward(h, m, n_occ, trace=trace)
+            expansion.forward(m)
+            expansion.backward(m)
             assert gated == []
-        h, m, _, _ = _kernel_problem("f32")
-        single_precision_pipeline(h, m, 16)
-        mixed_response_pipeline(h, m, 16)
-        assert gated == []
+            if ops in (sp2._DenseOps, sp2._SparseOps):
+                # a plain trace is not read: each forward route runs fresh
+                _, trace = sp2_ground_state(h, n_occ)
+                dm_perturbation_forward(h, m, n_occ, trace=trace)
+                susceptibility_forward(h, m, n_occ, trace=trace)
+                assert gated == [ops.__name__] * 3
+                gated.clear()
+                dm_perturbation_forward(h, m, n_occ, trace=expansion)
+                susceptibility_forward(h, m, n_occ, trace=expansion)
+                assert gated == []
 
     @pytest.mark.parametrize("storage", ["dense", "sparse"])
     def test_gate_rejects_a_residual_above_the_idempotency_limit(self, monkeypatch, storage):
@@ -663,12 +655,13 @@ class TestNonFiniteOperands:
             self.expand(kernel, bad_h)
 
     def test_fresh_and_replayed_seed(self, kernel, bad):
+        # a fresh run's seed, and a seed run over a stored expansion
         h, _, bad_m = self.operands(kernel, bad)
         with pytest.raises(ValueError, match="^seed contains non-finite entries$"):
             self.expand(kernel, h, y_seed=bad_m)
-        _, _, record = self.expand(kernel, h)
+        _, _, expansion = self.expand(kernel, h, store=True)
         with pytest.raises(ValueError, match="^seed contains non-finite entries$"):
-            self.expand(kernel, h, y_seed=bad_m, record=record)
+            expansion.forward(bad_m)
 
     def test_stored_forward_and_backward(self, kernel, bad):
         h, bad_h, bad_m = self.operands(kernel, bad)

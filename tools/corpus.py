@@ -75,6 +75,9 @@ INVOCATIONS = {
     "audit-thermal-nocc7": ["audit", *GEN, "--beta-t", "20", "--nocc", "7"],
     "respond-dense-nocc7": ["respond", *GEN, "--nocc", "7", "--mode", "both"],
     "respond-thermal-nocc7": ["respond", *GEN, "--beta-t", "20", "--nocc", "7", "--mode", "both"],
+    "respond-sparse-nocc7": ["respond", *GEN, "--nocc", "7", "--tau", "1e-9", "--mode", "both"],
+    "respond-scf-nocc7": ["respond", *GEN, "--nocc", "7", "--kernel", "hubbard:1", "--mode", "both"],
+    "ground-state-scf-nocc7": ["ground-state", *GEN, "--nocc", "7", "--kernel", "hubbard:1"],
     "benchmark": ["benchmark", "--sizes", "200,400"],
     "file-array-dense": ["respond", *FILES, "--mode", "both"],
     "file-array-sparse": ["respond", *FILES, "--tau", "1e-6", "--mode", "both"],
