@@ -4,14 +4,15 @@ Loads or generates model matrices, executes the requested pipeline
 (ground state, response/susceptibility in any variant, duality audit,
 benchmark sweep), and writes one JSON report per run. Reports are
 deterministic for a fixed configuration and seed, up to the "timing"
-section. Every subcommand runs the route's solver from ``SOLVERS`` through
-``_run_route``: audit is respond --mode both plus the route's one
-independent oracle value from ``AUDIT_ORACLES``, and benchmark runs the
-sparse route at each of its dimensions.
+section. Every subcommand runs its route's solver through ``_run_route``:
+audit is respond --mode both plus the route's one independent oracle
+value, and benchmark runs the sparse route at each of its dimensions.
 
 Every run's flags resolve into exactly one route (scf, thermal, sparse,
 f32, split16, dense or dense_orthogonalized) before any input is read; see
-``_route`` and its two tables.
+``_route``, the flags each subcommand refuses (``REFUSED``) and the one
+route table ``ROUTES``, which gives each route its solver, the flags it
+cannot honour, whether it has a backward expansion and its audit oracle.
 
 Exit codes: 0 success, 1 numerical failure (error serialized into the
 report), 2 usage or parse error.
@@ -26,6 +27,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Callable
 
 import numpy as np
 
@@ -96,27 +98,6 @@ REFUSED = {
     },
 }
 
-# flags each route cannot honour, with the reason
-CONFLICTS = {
-    "scf": {
-        "tau": "--kernel cannot be combined with --tau",
-        "precision": "--kernel requires --precision f64",
-    },
-    "thermal": {
-        "tau": "--beta-t cannot be combined with --tau",
-        "precision": "--beta-t requires --precision f64",
-    },
-    "sparse": {
-        "precision": "--tau and --precision f32/split16 are mutually exclusive",
-        "overlap": "--tau cannot be combined with an overlap matrix",
-    },
-    "f32": {"overlap": "low-precision pipelines assume an orthonormal basis"},
-    "split16": {"overlap": "low-precision pipelines assume an orthonormal basis"},
-}
-
-# routes with a backward (stored-iterate) expansion, i.e. respond --mode suscept-bwd
-BACKWARD = {"dense", "dense_orthogonalized", "sparse"}
-
 # model-generator flags, which an --h0 file leaves unused
 GENERATOR = ("kind", "size", "gap", "model_overlap")
 
@@ -175,10 +156,10 @@ def _route(cfg: RunConfig) -> str:
         route = cfg.precision
     else:
         route = "dense_orthogonalized" if _given(cfg, "overlap") else "dense"
-    for flag, reason in CONFLICTS.get(route, {}).items():
+    for flag, reason in ROUTES[route].conflicts.items():
         if _given(cfg, flag):
             raise UsageError(reason)
-    if cfg.subcommand == "respond" and cfg.mode == "suscept-bwd" and route not in BACKWARD:
+    if cfg.subcommand == "respond" and cfg.mode == "suscept-bwd" and not ROUTES[route].backward:
         raise UsageError(f"the {route} route has no backward expansion")
     return route
 
@@ -368,11 +349,11 @@ def _solve_scf(cfg, h0, s, a, h1, n_occ) -> dict:
     state = scf.scf_ground_state(h0, s, kernel, n_occ, scf.ScfConfig(beta_t=cfg.beta_t))
     out = {
         "a0": linalg.trace_product(a, state.d0),
-        "mu0": state.inner.mu0,
+        "mu0": state.mu0,
         "scf_iterations": len(state.residuals),
     }
     if cfg.beta_t is None:
-        out["expansion"] = _trace_summary(state.inner.trace)
+        out["expansion"] = _trace_summary(state.inner)
     if h1 is None:
         out["scf_final_residual"] = state.residuals[-1]
         out["trace_d0"] = float(np.trace(state.inner.d0))
@@ -485,17 +466,6 @@ def _solve_low_precision(cfg, h0, s, a, h1, n_occ) -> dict:
     }
 
 
-SOLVERS = {
-    "scf": _solve_scf,
-    "thermal": _solve_thermal,
-    "sparse": _solve_sp2,
-    "dense": _solve_sp2,
-    "dense_orthogonalized": _solve_sp2,
-    "f32": _solve_low_precision,
-    "split16": _solve_low_precision,
-}
-
-
 def _oracle_eigenbasis(cfg, h0, a, h1, n_occ) -> dict:
     """Tr[A P1], P1 the exact derivative of the projector on the n_occ
     lowest eigenvectors of h0, cut at the HOMO-LUMO midpoint."""
@@ -527,11 +497,40 @@ def _oracle_finite_difference(cfg, h0, a, h1, n_occ) -> dict:
     return {"oracle_finite_difference": (4.0 * fine - coarse) / 3.0}
 
 
-# the audit's independent oracle for each route it runs
-AUDIT_ORACLES = {
-    "dense": _oracle_eigenbasis,
-    "dense_orthogonalized": _oracle_eigenbasis,
-    "thermal": _oracle_finite_difference,
+@dataclass(frozen=True)
+class Route:
+    """One route of the CLI: its solver; the flags it cannot honour, each
+    with the reason; whether it has a backward (stored-iterate) expansion,
+    which respond --mode suscept-bwd needs; and the independent oracle that
+    audit adds, on the routes audit runs."""
+
+    solve: Callable
+    conflicts: dict = field(default_factory=dict)
+    backward: bool = False
+    oracle: Callable | None = None
+
+
+ROUTES = {
+    "scf": Route(_solve_scf, {
+        "tau": "--kernel cannot be combined with --tau",
+        "precision": "--kernel requires --precision f64",
+    }),
+    "thermal": Route(_solve_thermal, {
+        "tau": "--beta-t cannot be combined with --tau",
+        "precision": "--beta-t requires --precision f64",
+    }, oracle=_oracle_finite_difference),
+    "sparse": Route(_solve_sp2, {
+        "precision": "--tau and --precision f32/split16 are mutually exclusive",
+        "overlap": "--tau cannot be combined with an overlap matrix",
+    }, backward=True),
+    "dense": Route(_solve_sp2, backward=True, oracle=_oracle_eigenbasis),
+    "dense_orthogonalized": Route(_solve_sp2, backward=True, oracle=_oracle_eigenbasis),
+    "f32": Route(_solve_low_precision, {
+        "overlap": "low-precision pipelines assume an orthonormal basis",
+    }),
+    "split16": Route(_solve_low_precision, {
+        "overlap": "low-precision pipelines assume an orthonormal basis",
+    }),
 }
 
 
@@ -556,7 +555,7 @@ def _run_route(cfg: RunConfig, route: str, oracle=None) -> tuple[dict, dict]:
     if cfg.subcommand == "respond":
         results["mode"] = cfg.mode
     started = time.perf_counter()
-    results.update(SOLVERS[route](cfg, h0, s, a, h1, n_occ))
+    results.update(ROUTES[route].solve(cfg, h0, s, a, h1, n_occ))
     timing = {"solve_s": time.perf_counter() - started}
     if oracle is not None:
         results["values"].update(oracle(cfg, h0, a, h1, n_occ))
@@ -568,7 +567,7 @@ def _run_route(cfg: RunConfig, route: str, oracle=None) -> tuple[dict, dict]:
 def _run_audit(cfg: RunConfig, route: str) -> tuple[dict, dict]:
     """respond --mode both's run plus the route's oracle value, with the
     largest pairwise deviation, absolute and relative to the largest value."""
-    results, timing = _run_route(cfg, route, AUDIT_ORACLES[route])
+    results, timing = _run_route(cfg, route, ROUTES[route].oracle)
     worst = max(results["duality_deviations"].values())
     scale = max(*map(abs, results["values"].values()), 1e-12)
     results.update(max_abs_deviation=worst, max_rel_deviation=worst / scale)

@@ -4,11 +4,14 @@ The Hamiltonian depends on the density through a pluggable linear,
 symmetry-preserving kernel G. Each sweep is the transformed solve:
 congruence to the orthonormal basis, the inner ground state there, and
 congruence back; without an overlap the basis is already orthonormal and
-there is no congruence factor. The inner ground state is picked once per
-run: an `Sp2GroundState` (spectral projection) at zero temperature and a
-`thermal.FermiGroundState` (Fermi smearing) otherwise. Both are frozen and
-offer `d0`, `mu0` and `forward(seed)`, the derivative of D0 along a seed
-(Niklasson, Cawkwell, Rubensson & Rudberg, PRE 92, 063301, 2015).
+there is no congruence factor. The inner ground state is the plain
+routes' own, picked once per run: at zero temperature the dense route's
+stored SP2 expansion, the `sp2.Sp2Expansion` of `sp2._expand(h, n_occ,
+store=True)` (spectral projection), and a `thermal.FermiGroundState`
+(Fermi smearing) otherwise. Both are frozen and offer `d0` and
+`forward(seed)`, the derivative of D0 along a seed (Niklasson, Cawkwell,
+Rubensson & Rudberg, PRE 92, 063301, 2015). The converged sweep's inner
+state serves every response solve, so no expansion runs twice.
 
 The ground state is the fixed point of the sweep, reached by Anderson
 (DIIS) mixing of the density (Anderson, J. ACM 12, 547, 1965; Pulay, Chem.
@@ -41,7 +44,7 @@ from .linalg import (
     symmetric_matrix,
     symmetrize,
 )
-from .sp2 import Sp2Trace, _expand, sp2_ground_state
+from .sp2 import Sp2Expansion, _expand
 from .thermal import FermiGroundState, _fermi_eigenbasis
 
 # The Anderson mixer both solves share:
@@ -129,55 +132,38 @@ class ScfConfig:
             )
 
 
-@dataclass(frozen=True, eq=False)
-class Sp2GroundState:
-    """Zero-temperature inner ground state: the SP2 density matrix D0 of the
-    orthonormal-basis Hamiltonian h, with the Sp2Trace of its run.
-
-    `forward(seed)` differentiates the frozen expansion. The first call
-    runs a fresh, gated expansion of h, the final sweep's orthonormal-basis
-    H_eff, once more: the same h gives the same bounds, so it repeats the
-    reported run bit for bit. It stores its iterates (an
-    sp2.Sp2Expansion: m_steps * N^2 floats, about
-    1.4 MB at n = 100 and 144 MB at N = 1000), and every call, of every
-    response solve over this state, is one pair update per step over them,
-    with no square. mu0, the HOMO-LUMO midpoint, costs an
-    eigendecomposition of h, run only when it is read.
-    """
-
-    h: np.ndarray
-    d0: np.ndarray
-    trace: Sp2Trace
-
-    @cached_property
-    def _expansion(self):
-        return _expand(self.h, self.trace.n_occ, store=True)[2]
-
-    def forward(self, seed: np.ndarray) -> np.ndarray:
-        return self._expansion.forward(seed)
-
-    @cached_property
-    def mu0(self) -> float:
-        values = sym_eigendecompose(self.h).values
-        n_occ = self.trace.n_occ
-        return 0.5 * (float(values[n_occ - 1]) + float(values[n_occ]))
-
-
 @dataclass(frozen=True)
 class ScfState:
     """Converged self-consistent ground state: the overlap factor Z (None
     without an overlap: the basis is already orthonormal), the kernel, D0,
     the H_eff that builds it, the inner ground state of the
-    orthonormal-basis H_eff (an Sp2GroundState at zero temperature, a
-    thermal.FermiGroundState otherwise) that every response solve
-    differentiates, and the sweeps' residual history."""
+    orthonormal-basis H_eff that every response solve differentiates, and
+    the sweeps' residual history.
+
+    The inner ground state is the converged sweep's own: at zero
+    temperature the dense route's stored expansion, an sp2.Sp2Expansion
+    (m_steps * N^2 floats, about 1.4 MB at n = 100 and 144 MB at N = 1000)
+    whose `forward` is one pair update per step and no square; otherwise a
+    thermal.FermiGroundState. No SP2 expansion runs after the sweeps.
+    `mu0` is the inner state's at finite temperature; at zero temperature it
+    is the HOMO-LUMO midpoint of the orthonormal-basis H_eff, whose
+    eigendecomposition runs only when mu0 is read.
+    """
 
     z: np.ndarray | None
     kernel: object
     d0: np.ndarray
     h_eff: np.ndarray
-    inner: Sp2GroundState | FermiGroundState
+    inner: Sp2Expansion | FermiGroundState
     residuals: tuple[float, ...] = field(default=())
+
+    @cached_property
+    def mu0(self) -> float:
+        if isinstance(self.inner, FermiGroundState):
+            return self.inner.mu0
+        h = congruence_transform(self.h_eff, self.z, "to_orthogonal")
+        values, n_occ = sym_eigendecompose(h).values, self.inner.n_occ
+        return 0.5 * (float(values[n_occ - 1]) + float(values[n_occ]))
 
 
 def _anderson_step(d, f, diffs: deque) -> np.ndarray:
@@ -203,7 +189,8 @@ def _anderson(image, x, cap: int, what):
     within `cap` images. image(x) returns (x_new, extra); each fresh image
     both checks x (||x_new - x||_F <= EPS_SCF) and gives the next step's
     residual. Returns (x_new, extra, residual history), or raises
-    ConvergenceError(what(history), history)."""
+    ConvergenceError(what(history), history). An unconverged image's extra
+    is dropped before the next image is built, so at most one is alive."""
     residuals: list[float] = []
     last = None
     diffs: deque = deque(maxlen=ANDERSON_DEPTH)
@@ -213,6 +200,7 @@ def _anderson(image, x, cap: int, what):
         residuals.append(float(np.linalg.norm(f)))
         if residuals[-1] <= EPS_SCF:
             return x_new, extra, residuals
+        del extra
         if last is not None:
             diffs.append((x - last[0], f - last[1]))
         last = (x, f)
@@ -238,7 +226,8 @@ def scf_ground_state(
 
     Each sweep checks that H_eff(D) is finite (ValueError naming the kernel
     and the sweep otherwise) and builds the inner ground state of its
-    orthonormal-basis form; D_new is that state's D0 taken back through Z.
+    orthonormal-basis form (at zero temperature a stored SP2 expansion,
+    m_steps * N^2 floats); D_new is that state's D0 taken back through Z.
     Anderson mixing over the last ANDERSON_DEPTH sweeps picks the next D,
     from D = 0. Converged when the residual ||D_new - D||_F falls to
     EPS_SCF; the state is then the one that sweep built at the converged D.
@@ -251,7 +240,7 @@ def scf_ground_state(
     if cfg.beta_t is None:
 
         def inner(h):
-            return Sp2GroundState(h, *sp2_ground_state(h, n_occ))
+            return _expand(h, n_occ, store=True)[2]
 
     else:
 

@@ -294,7 +294,7 @@ class TestRespond:
         per_value = ("response_iterations", "f64_reference", "relative_error_vs_f64")
         _, both = run_cli(["respond", *flags, "--mode", "both"], tmp_path, "both.json")
         results = both["results"]
-        assert len(results["values"]) == (3 if results["route"] in cli.BACKWARD else 2)
+        assert len(results["values"]) == (3 if cli.ROUTES[results["route"]].backward else 2)
         for key, value in results["values"].items():
             argv = ["respond", *flags, "--mode", modes[key]]
             _, alone = run_cli(argv, tmp_path, f"{key}.json")
@@ -329,6 +329,21 @@ class TestRespond:
         argv = ["respond", "--kind", "gapped_random", "--size", "20", "--mode", mode]
         code, _ = run_cli(argv, tmp_path)
         assert code == 0 and runs == stored
+
+    def test_scf_bounds_one_expansion_per_sweep(self, tmp_path, monkeypatch):
+        # the zero-temperature SCF route runs one expansion per sweep and none
+        # after the sweeps: both responses reuse the converged sweep's
+        bounds = []
+        real = sp2._DenseOps.bounds
+
+        def spy(*args, **kwargs):
+            bounds.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sp2._DenseOps, "bounds", spy)
+        argv = ["respond", "--kind", "gapped_random", "--size", "40", "--kernel", "hubbard:1"]
+        code, rep = run_cli([*argv, "--mode", "both"], tmp_path)
+        assert code == 0 and len(bounds) == rep["results"]["scf_iterations"]
 
     # the overflowing kernel product is the point of the test; it must raise
     # the named error alone, with no numpy warning before it

@@ -368,7 +368,8 @@ class TestKrylovAndAnderson:
         stored = scf_response(state, h1)
 
         def fresh(self, seed):
-            return dm_perturbation_forward(state.inner.h, seed, state.inner.trace.n_occ)[1]
+            h = congruence_transform(state.h_eff, state.z, "to_orthogonal")
+            return dm_perturbation_forward(h, seed, state.inner.n_occ)[1]
 
         monkeypatch.setattr(Sp2Expansion, "forward", fresh)
         rerun = scf_response(state, h1)
@@ -376,10 +377,10 @@ class TestKrylovAndAnderson:
         assert stored.residuals == rerun.residuals
         assert stored.applications == rerun.applications
 
-    def test_one_stored_expansion_per_state(self, rng, monkeypatch):
-        # the zero-temperature inner ground state stores its expansion on the
-        # first derivative application, for every solve over the state, and
-        # diagonalizes only when mu0 is read
+    def test_one_stored_expansion_per_sweep_and_none_after(self, rng, monkeypatch):
+        # at zero temperature each sweep stores one expansion, the converged
+        # sweep's serves every response solve, and the state diagonalizes
+        # only when mu0 is read
         n = 12
         h, a, h1 = gapped_case(rng, n, 98)
         stored, eigs = [], []
@@ -396,13 +397,14 @@ class TestKrylovAndAnderson:
         monkeypatch.setattr(scf, "_expand", expand_spy)
         monkeypatch.setattr(scf, "sym_eigendecompose", eig_spy)
         state = scf_ground_state(h, None, hubbard(1.0), n // 2)
-        assert eigs == []
+        assert stored == [True] * len(state.residuals)
+        assert isinstance(state.inner, Sp2Expansion)
         scf_dm_response(state, h1)
         scf_susceptibility(state, a)
-        assert stored.count(True) == 1
-        mu0 = state.inner.mu0
-        assert state.inner.mu0 == mu0 and len(eigs) == 1
-        values = np.linalg.eigvalsh(state.inner.h)
+        assert len(stored) == len(state.residuals) and eigs == []
+        mu0 = state.mu0
+        assert state.mu0 == mu0 and len(eigs) == 1
+        values = np.linalg.eigvalsh(congruence_transform(state.h_eff, state.z, "to_orthogonal"))
         assert values[n // 2 - 1] < mu0 < values[n // 2]
 
     @pytest.mark.parametrize("basis", ["finite_temperature", "overlap"])
