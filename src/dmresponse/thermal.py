@@ -7,7 +7,9 @@ divided-difference (Loewner) matrix; the chemical-potential response mu1 is
 solved in closed form so that every susceptibility is exactly trace neutral.
 
 The chemical potential mu0 is the root of the occupation error, found by
-`scipy.optimize.brentq` to float64's resolution. The Fermi function's divided
+`scipy.optimize.brentq` to float64's resolution. The error is summed
+without cancellation, holes below the Fermi level against electrons above
+it (see `_solve_mu`), so mu0 stays determined at low temperature. The Fermi function's divided
 differences take the closed form
 (f(a) - f(b)) / (a - b) = -beta_t f(a) (1 - f(b)) exprel(beta_t (a - b)),
 a <= b, with `scipy.special.exprel`; no pair of eigenvalues is too close for
@@ -56,14 +58,25 @@ def fermi_function(eps, beta_t: float, mu: float):
 def _solve_mu(values: np.ndarray, beta_t: float, n_occ: float) -> float:
     """The chemical potential at which the total occupation is n_occ, by
     brentq on a bracket 10 / beta_t outside the spectrum, resolved to
-    float64's eps."""
+    float64's eps.
+
+    The occupation error is taken without cancellation. With k = floor(n_occ)
+    and the eigenvalues ascending, it is the occupation of the states from
+    the k-th up, less the holes below them, less n_occ - k: each hole
+    1 - f is its own expit, never 1 minus f. Summing f over the spectrum
+    and subtracting n_occ instead keeps only rounding error once beta_t
+    times the gap is large (about 4e-44 per state next to a gap of 1 at
+    beta_t = 200), and mu0 then wanders anywhere inside the gap.
+    """
     from scipy.optimize import brentq  # only the Fermi route pays for loading the root finder
 
     lo = float(values[0]) - 10.0 / beta_t
     hi = float(values[-1]) + 10.0 / beta_t
+    k = math.floor(n_occ)
 
     def occupation(mu):
-        return float(np.sum(fermi_function(values, beta_t, mu))) - n_occ
+        holes = np.sum(expit(beta_t * (values[:k] - mu)))
+        return float(np.sum(fermi_function(values[k:], beta_t, mu)) - holes) - (n_occ - k)
 
     if occupation(lo) > 0.0 or occupation(hi) < 0.0:
         raise ValueError(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from dmresponse import cli
 from dmresponse.linalg import sym_eigendecompose, trace_product
 from dmresponse.models import ModelSpec, gapped_random_hamiltonian, generate_model
 from dmresponse.response import susceptibility_forward
@@ -87,6 +88,50 @@ class TestFermiMatrix:
         h = gapped_random_hamiltonian(8, 1.0, 4, seed=2)
         with pytest.raises(ValueError, match=f"^{name} is not exactly symmetric$"):
             call(h, random_symmetric(rng, 8))
+
+
+# (mu0, mu1) of `respond --kind gapped_random --size 100 --beta-t B --mode
+# both` at seed 0, with the command line's seed-0 fill-ins (the observable
+# drawn before H1), from a 120-digit mpmath evaluation of the same inputs
+COLD_REFERENCES = {
+    50.0: (0.010682239966027463, 0.023495900228787379),
+    75.0: (0.0097803000761099701, 0.020573444249398083),
+    200.0: (0.0089554615373932342, -0.0016784881429584798),
+    400.0: (0.0089372481833319077, -0.0030483730870864983),
+}
+
+
+def _respond(beta_t):
+    return cli.run(cli.RunConfig("respond", kind="gapped_random", size=100, beta_t=beta_t))
+
+
+class TestLowTemperature:
+    """mu0 and mu1 stay determined by the input when beta_t times the gap is
+    large and each state next to the gap holds about exp(-beta_t / 2)."""
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        return {beta_t: _respond(beta_t)[1]["results"] for beta_t in COLD_REFERENCES}
+
+    @pytest.mark.parametrize("beta_t", sorted(COLD_REFERENCES))
+    def test_mu0_and_mu1_match_references(self, results, beta_t):
+        mu0, mu1 = COLD_REFERENCES[beta_t]
+        assert abs(results[beta_t]["mu0"] - mu0) <= 1e-9 * abs(mu0)
+        assert abs(results[beta_t]["mu1"] - mu1) <= 1e-9 * abs(mu1)
+
+    def test_mu0_approaches_midgap(self, results):
+        h, _ = generate_model(ModelSpec("gapped_random", 100, 1.0, seed=0))
+        values = np.linalg.eigvalsh(h)
+        midgap = 0.5 * (values[49] + values[50])
+        offsets = [abs(results[beta_t]["mu0"] - midgap) for beta_t in sorted(COLD_REFERENCES)]
+        assert all(later < earlier for earlier, later in zip(offsets, offsets[1:])), offsets
+
+    def test_vanishing_mu_response_still_exits_1(self):
+        # at beta_t = 1500 f' underflows to zero on the whole spectrum
+        code, report = _respond(1500.0)
+        assert code == 1
+        assert report["error"]["type"] == "ValueError"
+        assert "ill-posed" in report["error"]["message"]
 
 
 class TestLoewnerMatrix:

@@ -67,6 +67,8 @@ INVOCATIONS = {
     "respond-thermal-n100-beta50": [
         "respond", "--kind", "gapped_random", "--size", "100", "--beta-t", "50", "--mode", "both"
     ],
+    # a gap of 1 at beta_t = 200 leaves about exp(-100) of each state next to it
+    "respond-thermal-cold": ["respond", *GEN, "--beta-t", "200", "--mode", "both"],
     "respond-scf-bilinear": ["respond", *GEN, "--kernel", "bilinear:0.3", "--mode", "both"],
     "audit-dense": ["audit", *GEN, "--seed", "3"],
     "audit-thermal": ["audit", "--kind", "gapped_random", "--size", "16", "--beta-t", "12"],
