@@ -9,8 +9,8 @@ solved in closed form so that every susceptibility is exactly trace neutral.
 The chemical potential mu0 is the root of the occupation error, found by
 `scipy.optimize.brentq` to float64's resolution. The error is summed
 without cancellation, holes below the Fermi level against electrons above
-it (see `_solve_mu`), so mu0 stays determined at low temperature. The Fermi function's divided
-differences take the closed form
+it (see `_solve_mu`), so mu0 stays determined at low temperature. The
+Fermi function's divided differences take the closed form
 (f(a) - f(b)) / (a - b) = -beta_t f(a) (1 - f(b)) exprel(beta_t (a - b)),
 a <= b, with `scipy.special.exprel`; no pair of eigenvalues is too close for
 it, and its diagonal is f'. The hole occupation 1 - f is its own logistic,
@@ -61,9 +61,9 @@ def _solve_mu(values: np.ndarray, beta_t: float, n_occ: float) -> float:
     float64's eps.
 
     The occupation error is taken without cancellation. With k = floor(n_occ)
-    and the eigenvalues ascending, it is the occupation of the states from
-    the k-th up, less the holes below them, less n_occ - k: each hole
-    1 - f is its own expit, never 1 minus f. Summing f over the spectrum
+    and the eigenvalues ascending, it is the occupation of all but the k
+    lowest states, less the holes in the k lowest, less n_occ - k: each
+    hole 1 - f is its own expit, never 1 minus f. Summing f over the spectrum
     and subtracting n_occ instead keeps only rounding error once beta_t
     times the gap is large (about 4e-44 per state next to a gap of 1 at
     beta_t = 200), and mu0 then wanders anywhere inside the gap.
